@@ -189,7 +189,7 @@ void BM_TapeReplay(benchmark::State& state) {
   tape.ensure_depth(depth);
   for (auto _ : state) {
     sat::Solver solver;
-    std::vector<bmc::VarOrigin> origin;
+    bmc::OriginMap origin;
     bmc::SolverSink sink(solver, origin);
     bmc::ClauseTape::Cursor cursor;
     tape.replay_to(depth, cursor, sink);

@@ -258,7 +258,7 @@ int run(int argc, char** argv) {
       bmc::SharedTape own(deepest->net, 0);
       own.ensure_depth(depth);
       sat::Solver solver;
-      std::vector<bmc::VarOrigin> origin;
+      bmc::OriginMap origin;
       bmc::SolverSink sink(solver, origin);
       bmc::ClauseTape::Cursor cursor;
       own.replay_to(depth, cursor, sink);
@@ -270,7 +270,7 @@ int run(int argc, char** argv) {
     shared.ensure_depth(depth);
     for (std::size_t p = 0; p < num_policies; ++p) {
       sat::Solver solver;
-      std::vector<bmc::VarOrigin> origin;
+      bmc::OriginMap origin;
       bmc::SolverSink sink(solver, origin);
       bmc::ClauseTape::Cursor cursor;
       shared.replay_to(depth, cursor, sink);

@@ -46,6 +46,10 @@ inline void write_depth_stats(JsonWriter& w, const bmc::DepthStats& d) {
   w.kv("ranks_published", d.ranks_published);
   w.kv("rank_refreshes", d.rank_refreshes);
   w.kv("rank_epoch", d.rank_epoch);
+  // Alias-aware core projection: model nodes the core touched and the
+  // share of CNF variables the projected ranking steers.
+  w.kv("core_nodes", d.core_nodes);
+  w.kv("rank_coverage", d.rank_coverage);
   w.kv("time_sec", d.time_sec);
   // Phase split of time_sec (obs layer, PR 6): where this depth's wall
   // time went — formula growth, encoder simplification, SAT search.
@@ -151,6 +155,7 @@ struct RowComparison {
   bool capped = false;       // some policy hit the budget
   std::vector<double> times;  // one per policy, comparable at compared_depth
   std::vector<std::uint64_t> decisions;
+  std::vector<std::uint64_t> conflicts;  // deterministic work, same rule
 };
 
 /// Applies the Table 1 comparison rule across policies.
@@ -176,6 +181,7 @@ inline RowComparison compare_row(const model::Benchmark& bm,
                               ? 0.0
                               : r.cumulative_time.back());
       row.decisions.push_back(r.result.total_decisions());
+      row.conflicts.push_back(r.result.total_conflicts());
     }
   } else {
     row.capped = true;
@@ -183,10 +189,14 @@ inline RowComparison compare_row(const model::Benchmark& bm,
     row.verdict = "(" + std::to_string(row.compared_depth) + ")";
     for (const auto& r : runs) {
       row.times.push_back(cumulative_time_at(r, row.compared_depth));
-      std::uint64_t dec = 0;
-      for (const auto& d : r.result.per_depth)
-        if (d.depth <= row.compared_depth) dec += d.decisions;
+      std::uint64_t dec = 0, confl = 0;
+      for (const auto& d : r.result.per_depth) {
+        if (d.depth > row.compared_depth) continue;
+        dec += d.decisions;
+        confl += d.conflicts;
+      }
       row.decisions.push_back(dec);
+      row.conflicts.push_back(confl);
     }
   }
   return row;

@@ -25,6 +25,7 @@ FrameEncoder::FrameEncoder(const model::Netlist& net, ClauseSink& sink,
 
   // Auxiliary constant-false variable, constrained by a unit clause.
   const sat::Var cv = sink_.add_var(VarOrigin{model::kConstNode, -1});
+  owner_.push_back(model::kConstNode);
   ++stats_.vars_emitted;
   false_lit_ = Lit::make(cv);
   emit(std::array<Lit, 1>{~false_lit_});
@@ -32,7 +33,18 @@ FrameEncoder::FrameEncoder(const model::Netlist& net, ClauseSink& sink,
 
 sat::Lit FrameEncoder::fresh(NodeId node, int frame) {
   ++stats_.vars_emitted;
+  owner_.push_back(node);
   return Lit::make(sink_.add_var(VarOrigin{node, frame}));
+}
+
+void FrameEncoder::note_alias(NodeId node, int frame, Lit l) {
+  const sat::Var v = l.var();
+  if (owner_[static_cast<std::size_t>(v)] == node) return;
+  if (aliased_.empty()) aliased_.resize(net_.num_nodes());
+  std::vector<sat::Var>& seen = aliased_[node];
+  if (std::find(seen.rbegin(), seen.rend(), v) != seen.rend()) return;
+  seen.push_back(v);
+  sink_.add_alias(v, VarOrigin{node, frame});
 }
 
 void FrameEncoder::emit(std::span<const Lit> lits) {
@@ -160,6 +172,9 @@ void FrameEncoder::encode_frame(int f) {
         break;
       }
     }
+    // With simplify off every cone node owns its variable, so this only
+    // ever fires for the folds, strash hits and latch aliases above.
+    if (id != model::kConstNode) note_alias(id, f, val(id, f));
   }
 
   if (opts_.mode == BadMode::Any) {

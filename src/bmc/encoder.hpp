@@ -33,6 +33,21 @@
 //    function at frame i-1, eliminating the coupling clauses entirely.
 // All three preserve satisfiability frame-exactly; EncodeStats counts
 // what they removed.
+//
+// Alias discipline.  Simplification leaves a folded, strashed or
+// aliased (node, frame) without a variable of its own, but the node
+// still matters to the paper's ordering (§3.2): a core that contains the
+// variable it was folded onto constrains that node too.  So each time a
+// cone node's value at frame f is a literal OWNED by another variable —
+// a strash hit, a fold onto an existing literal, a latch alias, or a
+// fold to the constant (recorded on the auxiliary false variable) — the
+// encoder reports an alias to the sink (ClauseSink::add_alias).  Each
+// (variable, node) pair is reported once, and never for the variable's
+// own owner node, so a variable's node set carries no duplicates (the
+// OriginMap invariant, cnf.hpp).  Aliases are keyed by VARIABLE, never
+// by (node, frame): the prefix-disjunction chain and incremental guards
+// all share the origin {kConstNode, -2}.  Aliases are pure metadata —
+// the emitted variables and clauses are identical with or without them.
 #pragma once
 
 #include <cstdint>
@@ -61,14 +76,20 @@ class ClauseSink {
   /// records its origin.
   virtual sat::Var add_var(const VarOrigin& origin) = 0;
   virtual void add_clause(std::span<const sat::Lit> lits) = 0;
+  /// Records that existing variable `v` also stands for `alias` (see
+  /// "Alias discipline" above).  Sinks without an origin map ignore it.
+  virtual void add_alias(sat::Var v, const VarOrigin& alias) {
+    (void)v;
+    (void)alias;
+  }
 };
 
-/// Feeds a solver; origins are appended to a caller-owned vector so the
-/// caller ends up with the var → (node, frame) map trace extraction and
-/// core projection need.
+/// Feeds a solver; origins and aliases go to a caller-owned OriginMap so
+/// the caller ends up with the var → node map trace extraction and core
+/// projection need.
 class SolverSink final : public ClauseSink {
  public:
-  SolverSink(sat::Solver& solver, std::vector<VarOrigin>& origin)
+  SolverSink(sat::Solver& solver, OriginMap& origin)
       : solver_(solver), origin_(origin) {}
 
   sat::Var add_var(const VarOrigin& origin) override {
@@ -79,10 +100,13 @@ class SolverSink final : public ClauseSink {
     scratch_.assign(lits.begin(), lits.end());
     solver_.add_clause(scratch_);
   }
+  void add_alias(sat::Var v, const VarOrigin& alias) override {
+    origin_.add_alias(v, alias);
+  }
 
  private:
   sat::Solver& solver_;
-  std::vector<VarOrigin>& origin_;
+  OriginMap& origin_;
   std::vector<sat::Lit> scratch_;
 };
 
@@ -99,6 +123,9 @@ class InstanceSink final : public ClauseSink {
   }
   void add_clause(std::span<const sat::Lit> lits) override {
     inst_.cnf.add_clause(std::vector<sat::Lit>(lits.begin(), lits.end()));
+  }
+  void add_alias(sat::Var v, const VarOrigin& alias) override {
+    inst_.origin.add_alias(v, alias);
   }
 
  private:
@@ -160,6 +187,9 @@ class FrameEncoder {
   /// needed.
   sat::Lit and_lit(sat::Lit a, sat::Lit b, const VarOrigin& origin);
   void encode_frame(int f);
+  /// Reports (node, frame) → l's variable as an alias unless the pair is
+  /// already known or the variable is owned by `node` itself.
+  void note_alias(model::NodeId node, int frame, sat::Lit l);
 
   sat::Lit& val(model::NodeId node, int frame) {
     return val_[static_cast<std::size_t>(frame) * net_.num_nodes() + node];
@@ -177,6 +207,10 @@ class FrameEncoder {
   std::vector<sat::Lit> val_;        // node × frame → sink literal
   std::vector<sat::Lit> any_;        // per frame, BadMode::Any chain
   std::unordered_map<std::uint64_t, sat::Lit> strash_;  // (lit,lit) → AND
+  std::vector<model::NodeId> owner_;  // per sink var: the node it was made for
+  /// Per node (sized on first use): the variables it has been reported
+  /// as an alias of, searched newest first.
+  std::vector<std::vector<sat::Var>> aliased_;
   sat::Lit false_lit_;
   int encoded_depth_ = -1;
   EncodeStats stats_;

@@ -193,10 +193,18 @@ BmcResult BmcEngine::run() {
     // sat_check(F, varRank): project the accumulated model-axis scores
     // down to this instance's CNF variables through the origin map.
     std::uint64_t rank_epoch = 0;
+    double rank_coverage = 0.0;
     if (config_.policy == OrderingPolicy::Shtrichman) {
       solver.set_variable_rank(shtrichman_rank(solver, prep.property_lit));
     } else if (uses_core_ranking()) {
-      solver.set_variable_rank(rank_->project(session->origin(), &rank_epoch));
+      const std::vector<double> rank =
+          rank_->project(session->origin(), &rank_epoch);
+      if (!rank.empty())
+        rank_coverage =
+            static_cast<double>(std::count_if(
+                rank.begin(), rank.end(), [](double r) { return r != 0.0; })) /
+            static_cast<double>(rank.size());
+      solver.set_variable_rank(rank);
       if (config_.rank_source != nullptr) {
         // Shared ordering: rivals may publish cores while this depth
         // solves; the solver re-projects at restart boundaries.
@@ -245,6 +253,7 @@ BmcResult BmcEngine::run() {
     stats.rank_refreshes =
         solver.stats().rank_refreshes - before.rank_refreshes;
     stats.rank_epoch = rank_epoch;
+    stats.rank_coverage = rank_coverage;
     stats.peak_bytes = mem_->peak();
     stats.arena_bytes = solver.clause_db().arena().allocated_bytes();
     stats.tape_bytes = tape_->memory_bytes();
@@ -356,8 +365,10 @@ BmcResult BmcEngine::run() {
                           "extracted unsat core is not unsatisfiable");
       }
       if (uses_core_ranking()) {
-        rank_->publish(session->origin(), core_vars, k);
+        stats.core_nodes = rank_->publish(session->origin(), core_vars, k);
         stats.ranks_published = 1;
+      } else {
+        stats.core_nodes = core_nodes(session->origin(), core_vars).size();
       }
     }
     session->retire(k);

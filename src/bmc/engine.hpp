@@ -268,6 +268,14 @@ struct DepthStats {
   std::uint64_t tape_bytes = 0;
   std::size_t core_clauses = 0;  // when UNSAT and cores tracked
   std::size_t core_vars = 0;
+  /// Model nodes the core touched after alias expansion (owner plus
+  /// every node folded onto a core variable — the set this depth adds
+  /// to bmc_score); 0 when cores are not tracked or the depth was SAT.
+  std::size_t core_nodes = 0;
+  /// Share of this depth's CNF variables whose initial projected rank is
+  /// non-zero — how much of the instance the refined ordering steers.
+  /// 0 for policies without a core-ranking feed.
+  double rank_coverage = 0.0;
   bool rank_switched = false;  // dynamic policy fell back to VSIDS
 };
 

@@ -24,7 +24,7 @@ EncoderOptions tape_options(bool constrain_init, bool simplify) {
 /// Tseitin-encoded in the direction the OR clause needs (d → a≠b).
 void add_simple_path_constraints(SharedTape& tape, int depth,
                                  sat::Solver& solver,
-                                 std::vector<VarOrigin>& origin,
+                                 OriginMap& origin,
                                  const ClauseTape::Cursor& cursor) {
   std::vector<std::vector<Lit>> latches;
   for (int f = 0; f <= depth; ++f) {

@@ -77,7 +77,7 @@ class InductionProver {
   struct SolveOutcome {
     sat::Result result;
     std::unique_ptr<sat::Solver> solver;  // alive for model extraction
-    std::vector<VarOrigin> origin;
+    OriginMap origin;
   };
   SolveOutcome solve_instance(SharedTape& tape, int depth, bool is_step,
                               CoreRanking& ranking, int k,

@@ -5,9 +5,9 @@
 
 namespace refbmc::bmc {
 
-void SharedRankSource::publish(const std::vector<VarOrigin>& origin,
-                               const std::vector<sat::Var>& core_vars,
-                               int k) {
+std::size_t SharedRankSource::publish(const OriginMap& origin,
+                                      const std::vector<sat::Var>& core_vars,
+                                      int k) {
   // Project outside the lock, through the same discipline the
   // engine-private accumulation uses (ranking.cpp).
   const std::unordered_set<model::NodeId> touched =
@@ -50,6 +50,7 @@ void SharedRankSource::publish(const std::vector<VarOrigin>& origin,
   REFBMC_TRACE_EVENT(
       obs::EventKind::RankPublish, k,
       static_cast<std::int64_t>(epoch_.load(std::memory_order_relaxed)));
+  return touched.size();
 }
 
 void SharedRankSource::seed(const CoreRanking& ranking) {
@@ -63,7 +64,7 @@ void SharedRankSource::seed(const CoreRanking& ranking) {
 }
 
 std::vector<double> SharedRankSource::project(
-    const std::vector<VarOrigin>& origin, std::uint64_t* epoch_out) const {
+    const OriginMap& origin, std::uint64_t* epoch_out) const {
   // Copy the node-axis scores (small) under the lock — with the epoch,
   // read under the same lock publishes take, so it is exactly the one
   // this score state corresponds to — and project onto the CNF axis

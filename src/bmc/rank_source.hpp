@@ -21,10 +21,13 @@
 // origin map ties every CNF variable back to a (netlist node, frame)
 // pair, and bmc_score lives on the node axis (§3.2) — publishing and
 // projecting through each entrant's own origin map means no entrant
-// ever interprets another's variable numbering.  Scores are pure
-// heuristic weight, so unlike clause exchange no derivability invariant
-// is needed: a bad merge could only slow a rival down, never flip a
-// verdict.
+// ever interprets another's variable numbering.  The origin map is
+// alias-aware (OriginMap, cnf.hpp; ranking.hpp "Alias discipline"): a
+// published core variable touches its owner node plus every node the
+// encoder folded onto it, and a projected variable's rank is the sum
+// over the same node set.  Scores are pure heuristic weight, so unlike
+// clause exchange no derivability invariant is needed: a bad merge
+// could only slow a rival down, never flip a verdict.
 //
 // Order independence.  Racing entrants publish concurrently, so the
 // shared merge must not depend on arrival order (same cores, any
@@ -70,17 +73,18 @@ class RankSource {
 
   /// Records the unsat core of a depth-k instance: `core_vars` are CNF
   /// variables of the publishing engine, projected onto the model axis
-  /// through that engine's own `origin` map.
-  virtual void publish(const std::vector<VarOrigin>& origin,
-                       const std::vector<sat::Var>& core_vars, int k) = 0;
+  /// (owners and aliases) through that engine's own `origin` map.
+  /// Returns the number of model nodes the core touched.
+  virtual std::size_t publish(const OriginMap& origin,
+                              const std::vector<sat::Var>& core_vars,
+                              int k) = 0;
 
   /// Per-CNF-variable ranks for `origin` from the current accumulation.
   /// `epoch_out`, when non-null, receives the epoch this projection
   /// corresponds to (seed RankProjector::bind with it so the first
   /// has_update() poll stays quiet).
   virtual std::vector<double> project(
-      const std::vector<VarOrigin>& origin,
-      std::uint64_t* epoch_out = nullptr) const = 0;
+      const OriginMap& origin, std::uint64_t* epoch_out = nullptr) const = 0;
 
   /// Monotone change counter: advances exactly when a publish changed
   /// some score.  One cheap atomic load — pollable from inside a solve.
@@ -104,11 +108,12 @@ class LocalRankSource final : public RankSource {
   explicit LocalRankSource(CoreWeighting weighting = CoreWeighting::Linear)
       : ranking_(weighting) {}
 
-  void publish(const std::vector<VarOrigin>& origin,
-               const std::vector<sat::Var>& core_vars, int k) override {
-    ranking_.update(origin, core_vars, k);
+  std::size_t publish(const OriginMap& origin,
+                      const std::vector<sat::Var>& core_vars,
+                      int k) override {
+    return ranking_.update(origin, core_vars, k);
   }
-  std::vector<double> project(const std::vector<VarOrigin>& origin,
+  std::vector<double> project(const OriginMap& origin,
                               std::uint64_t* epoch_out) const override {
     if (epoch_out != nullptr) *epoch_out = ranking_.num_updates();
     return ranking_.project(origin);
@@ -134,9 +139,10 @@ class SharedRankSource final : public RankSource {
   SharedRankSource(const SharedRankSource&) = delete;
   SharedRankSource& operator=(const SharedRankSource&) = delete;
 
-  void publish(const std::vector<VarOrigin>& origin,
-               const std::vector<sat::Var>& core_vars, int k) override;
-  std::vector<double> project(const std::vector<VarOrigin>& origin,
+  std::size_t publish(const OriginMap& origin,
+                      const std::vector<sat::Var>& core_vars,
+                      int k) override;
+  std::vector<double> project(const OriginMap& origin,
                               std::uint64_t* epoch_out) const override;
   /// Warm start: installs a previously accumulated node-axis ranking
   /// (e.g. the snapshot a JobServer persisted for this netlist hash)
@@ -174,13 +180,15 @@ class SharedRankSource final : public RankSource {
 /// source's business.
 class RankProjector final : public sat::RankRefresh {
  public:
-  void bind(const RankSource& source, const std::vector<VarOrigin>& origin,
+  /// `origin` is held by reference: it must outlive the binding.
+  void bind(const RankSource& source, const OriginMap& origin,
             std::uint64_t seen_epoch) {
     source_ = &source;
     origin_ = &origin;
     seen_epoch_ = seen_epoch;
     last_refresh_us_ = 0;
   }
+  void bind(const RankSource&, OriginMap&&, std::uint64_t) = delete;
 
   /// Minimum wall-clock gap between two mid-solve re-projections.  A
   /// full projection walks the whole origin map; on restart-heavy
@@ -213,7 +221,7 @@ class RankProjector final : public sat::RankRefresh {
 
  private:
   const RankSource* source_ = nullptr;
-  const std::vector<VarOrigin>* origin_ = nullptr;
+  const OriginMap* origin_ = nullptr;
   std::uint64_t seen_epoch_ = 0;
   std::uint64_t min_interval_us_ = 2000;  // 2ms between re-projections
   std::uint64_t last_refresh_us_ = 0;     // 0 = never refreshed this bind

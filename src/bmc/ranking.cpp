@@ -13,20 +13,22 @@ std::optional<CoreWeighting> parse_core_weighting(std::string_view name) {
 }
 
 std::unordered_set<model::NodeId> core_nodes(
-    const std::vector<VarOrigin>& origin,
-    const std::vector<sat::Var>& core_vars) {
+    const OriginMap& origin, const std::vector<sat::Var>& core_vars) {
   std::unordered_set<model::NodeId> touched;
   for (const sat::Var v : core_vars) {
     REFBMC_EXPECTS(v >= 0 && static_cast<std::size_t>(v) < origin.size());
     const model::NodeId node = origin[static_cast<std::size_t>(v)].node;
-    if (node == model::kConstNode) continue;
-    touched.insert(node);
+    if (node != model::kConstNode) touched.insert(node);
+    origin.for_each_alias(v, [&](std::size_t, const VarOrigin& a) {
+      touched.insert(a.node);
+    });
   }
   return touched;
 }
 
-void CoreRanking::update(const std::vector<VarOrigin>& origin,
-                         const std::vector<sat::Var>& core_vars, int k) {
+std::size_t CoreRanking::update(const OriginMap& origin,
+                                const std::vector<sat::Var>& core_vars,
+                                int k) {
   const std::unordered_set<model::NodeId> touched =
       core_nodes(origin, core_vars);
 
@@ -51,14 +53,19 @@ void CoreRanking::update(const std::vector<VarOrigin>& origin,
       break;
   }
   ++num_updates_;
+  return touched.size();
 }
 
-std::vector<double> CoreRanking::project(
-    const std::vector<VarOrigin>& origin) const {
+std::vector<double> CoreRanking::project(const OriginMap& origin) const {
   std::vector<double> rank(origin.size(), 0.0);
+  if (scores_.empty()) return rank;
   for (std::size_t v = 0; v < origin.size(); ++v) {
-    const auto it = scores_.find(origin[v].node);
-    if (it != scores_.end()) rank[v] = it->second;
+    double r = node_score(origin[v].node);
+    origin.for_each_alias(static_cast<sat::Var>(v),
+                          [&](std::size_t, const VarOrigin& a) {
+                            r += node_score(a.node);
+                          });
+    rank[v] = r;
   }
   return rank;
 }

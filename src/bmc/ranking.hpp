@@ -10,7 +10,22 @@
 // with the next instance) weigh more, but no single core is trusted
 // exclusively.  Alternative weightings are provided for the ablation
 // bench.  For a new instance, per-CNF-variable ranks are produced by
-// looking every variable's origin node up in the accumulated map.
+// looking every variable's nodes up in the accumulated map.
+//
+// Alias discipline.  With frame-wise simplification a CNF variable may
+// stand for several model nodes: its owner plus every (node, frame) the
+// encoder folded, strashed or latch-aliased onto it (OriginMap,
+// cnf.hpp; encoder.hpp).  Both directions of the projection walk that
+// whole node set:
+//   * core → model: a core variable touches its owner node AND every
+//     alias node (the auxiliary false variable thus touches every node
+//     folded to a constant), so cores keep scoring the state nodes
+//     simplification folded away;
+//   * model → CNF: a variable's rank is the SUM of the scores of all the
+//     nodes it stands for — a variable that carries several scored nodes
+//     decides all of them at once.
+// Without simplification no variable has aliases, and both directions
+// reduce to the owner lookup of the paper.
 #pragma once
 
 #include <array>
@@ -55,13 +70,13 @@ inline constexpr std::array<CoreWeighting, 4> all_core_weightings() {
 std::optional<CoreWeighting> parse_core_weighting(std::string_view name);
 
 /// Projects a core's CNF variables onto the model axis through `origin`:
-/// one entry per touched node (in_unsat(x, j) is 0/1 per instance), the
-/// constant node skipped.  The single projection discipline every
-/// accumulation — engine-private CoreRanking and the race-shared
-/// SharedRankSource alike — builds on, so the two can never diverge.
+/// one entry per touched node, owners and aliases alike (in_unsat(x, j)
+/// is 0/1 per instance), the constant node skipped.  The single
+/// projection discipline every accumulation — engine-private CoreRanking
+/// and the race-shared SharedRankSource alike — builds on, so the two
+/// can never diverge.
 std::unordered_set<model::NodeId> core_nodes(
-    const std::vector<VarOrigin>& origin,
-    const std::vector<sat::Var>& core_vars);
+    const OriginMap& origin, const std::vector<sat::Var>& core_vars);
 
 class CoreRanking {
  public:
@@ -80,17 +95,19 @@ class CoreRanking {
 
   /// Records the unsat core of instance `k` (depth of the BMC problem):
   /// `core_vars` are CNF variables whose model nodes are read off
-  /// `origin`; they are deduplicated on the model axis before scoring
-  /// (in_unsat(x, j) is 0/1 per instance).
-  void update(const std::vector<VarOrigin>& origin,
-              const std::vector<sat::Var>& core_vars, int k);
-  void update(const BmcInstance& inst, const std::vector<sat::Var>& core_vars,
-              int k) {
-    update(inst.origin, core_vars, k);
+  /// `origin` (owner plus aliases); they are deduplicated on the model
+  /// axis before scoring (in_unsat(x, j) is 0/1 per instance).  Returns
+  /// the number of model nodes the core touched.
+  std::size_t update(const OriginMap& origin,
+                     const std::vector<sat::Var>& core_vars, int k);
+  std::size_t update(const BmcInstance& inst,
+                     const std::vector<sat::Var>& core_vars, int k) {
+    return update(inst.origin, core_vars, k);
   }
 
-  /// Per-CNF-variable ranks for a (new or extended) variable set.
-  std::vector<double> project(const std::vector<VarOrigin>& origin) const;
+  /// Per-CNF-variable ranks for a (new or extended) variable set: each
+  /// variable gets the sum of the scores of the nodes it stands for.
+  std::vector<double> project(const OriginMap& origin) const;
   std::vector<double> project(const BmcInstance& inst) const {
     return project(inst.origin);
   }

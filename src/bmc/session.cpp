@@ -61,14 +61,14 @@ class ScratchSession final : public FormulaSession {
 
   void retire(int) override {}  // the next depth starts from scratch
 
-  const std::vector<VarOrigin>& origin() const override { return origin_; }
+  const OriginMap& origin() const override { return origin_; }
 
  private:
   SharedTape& tape_;
   sat::SolverConfig scfg_;
   std::unique_ptr<sat::Solver> solver_;
   std::unique_ptr<portfolio::PoolEndpoint> endpoint_;
-  std::vector<VarOrigin> origin_;
+  OriginMap origin_;
 };
 
 class IncrementalSession final : public FormulaSession {
@@ -169,7 +169,7 @@ class IncrementalSession final : public FormulaSession {
     solver_->add_clause({~activation_[static_cast<std::size_t>(k)]});
   }
 
-  const std::vector<VarOrigin>& origin() const override { return origin_; }
+  const OriginMap& origin() const override { return origin_; }
 
  private:
   // Depths retired between flushes of the permanent units + arena sweep.
@@ -186,7 +186,7 @@ class IncrementalSession final : public FormulaSession {
   std::unique_ptr<sat::Solver> solver_;
   std::unique_ptr<portfolio::PoolEndpoint> endpoint_;
   ClauseTape::Cursor cursor_;
-  std::vector<VarOrigin> origin_;
+  OriginMap origin_;
   std::vector<sat::Lit> activation_;  // per depth; undef = not created
   std::vector<char> retired_;         // per depth
   std::vector<sat::Lit> pending_retire_;  // savepoint mode: await flush

@@ -63,8 +63,9 @@ class FormulaSession {
   /// Called after depth k came back UNSAT, before moving on.
   virtual void retire(int k) = 0;
 
-  /// CNF-variable origins of the current solver (index = solver var).
-  virtual const std::vector<VarOrigin>& origin() const = 0;
+  /// CNF-variable origins of the current solver (index = solver var),
+  /// aliases included.
+  virtual const OriginMap& origin() const = 0;
 };
 
 // `share_pool`, when non-null, connects the session's solver(s) to a

@@ -123,6 +123,26 @@ void ClauseTape::replay(Cursor& cursor, const Mark& upto,
        });
   cursor.op = upto.ops;
   cursor.lit = upto.lits;
+  replay_aliases(cursor, upto, out);
+}
+
+void ClauseTape::replay_aliases(Cursor& cursor, const Mark& upto,
+                                ClauseSink& out) const {
+  for (std::size_t i = cursor.alias; i < upto.aliases; ++i) {
+    const OriginMap::Alias& a = origin_.alias_at(i);
+    const sat::Var v = cursor.var_map[static_cast<std::size_t>(a.var)];
+    if (v != sat::kVarUndef) out.add_alias(v, a.origin);
+  }
+  cursor.alias = upto.aliases;
+}
+
+void ClauseTape::replay_aliases_of(sat::Var v, const Cursor& cursor,
+                                   const Mark& upto, ClauseSink& out) const {
+  const sat::Var sv = cursor.var_map[static_cast<std::size_t>(v)];
+  REFBMC_EXPECTS(sv != sat::kVarUndef);
+  origin_.for_each_alias(v, [&](std::size_t i, const VarOrigin& o) {
+    if (i < upto.aliases) out.add_alias(sv, o);
+  });
 }
 
 void ClauseTape::export_clauses(const Mark& upto,
@@ -390,12 +410,16 @@ void SharedTape::replay_simplified_delta(int f, ClauseTape::Cursor& cursor,
     auto& slot = cursor.var_map[static_cast<std::size_t>(v)];
     REFBMC_ASSERT(slot == sat::kVarUndef);
     slot = out.add_var(origin[static_cast<std::size_t>(v)]);
+    // Its earlier aliases were dropped while it was eliminated.
+    tape_.replay_aliases_of(v, cursor, prev, out);
   }
   for (std::size_t v = prev.vars; v < mark.vars; ++v) {
     cursor.var_map.push_back(d.kept_new[v - prev.vars] != 0
                                  ? out.add_var(origin[v])
                                  : sat::kVarUndef);
   }
+  REFBMC_ASSERT(cursor.alias == prev.aliases);
+  tape_.replay_aliases(cursor, mark, out);
   std::vector<sat::Lit> clause;
   const auto emit = [&](std::span<const sat::Lit> c) {
     clause.clear();
@@ -428,6 +452,7 @@ void SharedTape::replay_simplified_to(int k, ClauseTape::Cursor& cursor,
                                  ? out.add_var(origin[v])
                                  : sat::kVarUndef);
   }
+  tape_.replay_aliases(cursor, mark, out);
   std::vector<sat::Lit> clause;
   const auto emit = [&](std::span<const sat::Lit> c) {
     clause.clear();

@@ -14,6 +14,12 @@
 // replay_to() streams a consumer forward.  Replay happens under the lock
 // too — clause copying is orders of magnitude cheaper than solving, so
 // contention is negligible next to the O(P × k²) re-encoding it replaces.
+// Aliases (encoder.hpp, "Alias discipline") ride along as a third
+// stream next to variables and clauses: the tape keeps them in its
+// tape-space OriginMap, a Mark counts them, and every replay path
+// translates them through the cursor like literals into the sink's
+// add_alias — dropping those of variables preprocessing eliminated and
+// re-attaching them when a later delta resurrects the variable.
 // Cold storage (PR 10): freeze_prefix() re-encodes an already-replayed
 // event prefix into the compact codec form (tape_codec.hpp) and drops
 // the raw vectors — indices stay absolute, every reader goes through
@@ -43,6 +49,7 @@ class ClauseTape final : public ClauseSink {
     std::size_t lits = 0;
     std::size_t vars = 0;
     std::size_t clauses = 0;
+    std::size_t aliases = 0;
   };
 
   /// One consumer's replay state.  var_map[i] is the sink variable that
@@ -50,6 +57,7 @@ class ClauseTape final : public ClauseSink {
   struct Cursor {
     std::size_t op = 0;
     std::size_t lit = 0;
+    std::size_t alias = 0;  // aliases replayed so far
     std::vector<sat::Var> var_map;
 
     /// Translates a tape-space literal into the sink's variable space.
@@ -74,18 +82,33 @@ class ClauseTape final : public ClauseSink {
     lits_.insert(lits_.end(), lits.begin(), lits.end());
     ++num_clauses_;
   }
+  void add_alias(sat::Var v, const VarOrigin& alias) override {
+    origin_.add_alias(v, alias);
+  }
 
   // ---- reading ---------------------------------------------------------
   Mark mark() const {
     return Mark{base_ops_ + ops_.size(), base_lits_ + lits_.size(),
-                origin_.size(), num_clauses_};
+                origin_.size(), num_clauses_, origin_.num_aliases()};
   }
   std::size_t num_vars() const { return origin_.size(); }
   std::size_t num_clauses() const { return num_clauses_; }
-  const std::vector<VarOrigin>& origin() const { return origin_; }
+  const OriginMap& origin() const { return origin_; }
 
   /// Replays events in [cursor, upto) into `out`, advancing the cursor.
   void replay(Cursor& cursor, const Mark& upto, ClauseSink& out) const;
+
+  /// Hands the aliases in [cursor.alias, upto.aliases) to `out`, each
+  /// translated through the cursor; aliases of variables the cursor
+  /// maps to sat::kVarUndef (eliminated) are dropped.  Advances
+  /// cursor.alias.
+  void replay_aliases(Cursor& cursor, const Mark& upto,
+                      ClauseSink& out) const;
+
+  /// Re-attaches to `out` every alias of tape variable v recorded
+  /// before `upto` (a resurrected variable's dropped aliases).
+  void replay_aliases_of(sat::Var v, const Cursor& cursor, const Mark& upto,
+                         ClauseSink& out) const;
 
   /// Copies the clauses recorded up to `upto`, in tape variable space
   /// (the preprocessing pass consumes them without a sink).
@@ -135,11 +158,11 @@ class ClauseTape final : public ClauseSink {
     return n;
   }
   /// The tape's actual heap footprint: raw-tail capacity + frozen
-  /// segment bytes + the origin vector.
+  /// segment bytes + the origin map.
   std::size_t memory_bytes() const {
     std::size_t n = ops_.capacity() * sizeof(std::int32_t) +
                     lits_.capacity() * sizeof(sat::Lit) +
-                    origin_.capacity() * sizeof(VarOrigin);
+                    origin_.memory_bytes();
     for (const FrozenSegment& s : frozen_) n += s.bytes.capacity();
     return n;
   }
@@ -160,7 +183,7 @@ class ClauseTape final : public ClauseSink {
   std::size_t base_lits_ = 0;  // absolute index of lits_[0]
   std::vector<std::int32_t> ops_;  // raw tail: kVarOp or a literal count
   std::vector<sat::Lit> lits_;     // raw tail: flattened clause literals
-  std::vector<VarOrigin> origin_;  // per tape variable (never frozen)
+  OriginMap origin_;  // per tape variable, with aliases (never frozen)
   std::size_t num_clauses_ = 0;
 };
 

@@ -93,7 +93,7 @@ TapeCodec::EncodedRange TapeCodec::encode(const ClauseTape& tape,
 }
 
 void TapeCodec::decode(const EncodedRange& enc,
-                       std::span<const VarOrigin> origin,
+                       const OriginMap& origin,
                        ClauseTape::Cursor& cursor, ClauseSink& out) {
   REFBMC_EXPECTS_MSG(cursor.var_map.size() == enc.from.vars,
                      "decode requires a cursor parked at the range start");
@@ -111,6 +111,11 @@ void TapeCodec::decode(const EncodedRange& enc,
       });
   cursor.op = enc.upto.ops;
   cursor.lit = enc.upto.lits;
+  for (std::size_t i = enc.from.aliases; i < enc.upto.aliases; ++i) {
+    const OriginMap::Alias& a = origin.alias_at(i);
+    out.add_alias(cursor.var_map[static_cast<std::size_t>(a.var)], a.origin);
+  }
+  cursor.alias = enc.upto.aliases;
 }
 
 std::vector<std::uint8_t> TapeCodec::encode_clauses(

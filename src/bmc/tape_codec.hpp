@@ -64,9 +64,9 @@ class TapeCodec {
   /// Streaming decode into any ClauseSink, translating variables through
   /// `cursor` exactly like ClauseTape::replay.  The cursor must be
   /// parked at enc.from (var_map holds enc.from.vars entries); it ends
-  /// parked at enc.upto.  `origin` is the tape's full origin vector.
-  static void decode(const EncodedRange& enc,
-                     std::span<const VarOrigin> origin,
+  /// parked at enc.upto.  `origin` is the tape's full origin map; the
+  /// range's aliases (not part of the byte stream) are read from it.
+  static void decode(const EncodedRange& enc, const OriginMap& origin,
                      ClauseTape::Cursor& cursor, ClauseSink& out);
 
   // ---- low-level record stream ---------------------------------------

@@ -36,7 +36,7 @@ std::string Trace::to_string(const model::Netlist& net) const {
 }
 
 Trace extract_trace(const model::Netlist& net, int depth,
-                    const std::vector<VarOrigin>& origin,
+                    const OriginMap& origin,
                     const sat::Solver& solver) {
   Trace trace;
   trace.depth = depth;

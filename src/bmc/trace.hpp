@@ -31,7 +31,7 @@ struct Trace {
 /// (node, frame)).  Inputs/latches outside the cone of influence — or
 /// simplified away by the encoder — default to 0.
 Trace extract_trace(const model::Netlist& net, int depth,
-                    const std::vector<VarOrigin>& origin,
+                    const OriginMap& origin,
                     const sat::Solver& solver);
 
 /// Convenience for instance buffers.

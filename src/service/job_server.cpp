@@ -149,6 +149,30 @@ void JobServer::executor_main() {
   }
 }
 
+const bmc::CoreRanking* JobServer::rank_lookup_locked(const RankKey& key) {
+  const auto it = rank_index_.find(key);
+  if (it == rank_index_.end()) return nullptr;
+  rank_lru_.splice(rank_lru_.begin(), rank_lru_, it->second);
+  return &it->second->ranking;
+}
+
+void JobServer::rank_store_locked(const RankKey& key,
+                                  bmc::CoreRanking ranking) {
+  if (config_.cache_capacity == 0) return;
+  const auto it = rank_index_.find(key);
+  if (it != rank_index_.end()) {
+    it->second->ranking = std::move(ranking);
+    rank_lru_.splice(rank_lru_.begin(), rank_lru_, it->second);
+    return;
+  }
+  rank_lru_.push_front(RankEntry{key, std::move(ranking)});
+  rank_index_.emplace(key, rank_lru_.begin());
+  if (rank_lru_.size() > config_.cache_capacity) {
+    rank_index_.erase(rank_lru_.back().key);
+    rank_lru_.pop_back();
+  }
+}
+
 double JobServer::remaining_deadline_sec(const JobRecord& rec) const {
   if (rec.deadline_us == 0) return -1.0;
   const std::uint64_t now = obs::monotonic_now_us();
@@ -186,18 +210,19 @@ void JobServer::run_job(JobRecord& rec) {
 
   // Ordering warm start: race through a server-owned shared source,
   // seeded from the last accumulation snapshotted for this (netlist,
-  // weighting) — then snapshot the merged result back for the next
-  // submission of the same model.
+  // property, weighting) — then snapshot the merged result back for the
+  // next submission of the same property.
   std::unique_ptr<bmc::SharedRankSource> rank_source;
-  RankKey rank_key{key.netlist_hash, 0};
+  RankKey rank_key;
+  rank_key.netlist_hash = key.netlist_hash;
+  rank_key.bad_index = key.bad_index;
   if (config_.warm_start_ranks) {
     const portfolio::ResolvedPortfolio r = rec.request.options.resolve();
     rank_key.weighting = static_cast<int>(r.engine.weighting);
     rank_source = std::make_unique<bmc::SharedRankSource>(r.engine.weighting);
     const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = rank_store_.find(rank_key);
-    if (it != rank_store_.end()) {
-      rank_source->seed(it->second);
+    if (const bmc::CoreRanking* seed = rank_lookup_locked(rank_key)) {
+      rank_source->seed(*seed);
       ++stats_.rank_warm_starts;
       bump("server.rank_warm_starts");
     }
@@ -233,7 +258,7 @@ void JobServer::run_job(JobRecord& rec) {
     const bmc::CoreRanking snap = rank_source->snapshot();
     if (!snap.scores().empty()) {
       const std::lock_guard<std::mutex> lock(mu_);
-      rank_store_.insert_or_assign(rank_key, snap);
+      rank_store_locked(rank_key, snap);
     }
   }
 
@@ -394,6 +419,7 @@ JobServer::Stats JobServer::stats() const {
   Stats s = stats_;
   s.queue_depth = queued_;
   s.running = running_;
+  s.rank_snapshots = rank_lru_.size();
   return s;
 }
 

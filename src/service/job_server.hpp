@@ -25,11 +25,14 @@
 //                   identical job returns the verdict + trace verbatim,
 //                   no solving (poll shows from_cache);
 //   * warm start  — the race's merged rank accumulation is snapshotted
-//                   per (netlist hash, weighting) after every solve and
-//                   seeded into the next race on the same model, so a
-//                   resubmitted-but-not-identical job (deeper bound, new
-//                   budget) starts from a refined ordering instead of
-//                   re-learning it (bmc::SharedRankSource::seed);
+//                   per (netlist hash, bad index, weighting) after every
+//                   solve and seeded into the next race on the same
+//                   property, so a resubmitted-but-not-identical job
+//                   (deeper bound, new budget) starts from a refined
+//                   ordering instead of re-learning it
+//                   (bmc::SharedRankSource::seed).  The store holds at
+//                   most cache_capacity snapshots, least recently used
+//                   evicted first;
 //   * metrics     — queue depth, admission rejects, cache hit rate and
 //                   deadline evictions through obs::MetricsRegistry
 //                   (server.* namespace), when metrics are enabled.
@@ -42,6 +45,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -151,9 +155,10 @@ struct JobStatus {
 struct ServerConfig {
   int workers = 1;
   std::size_t queue_capacity = 64;  // queued (not running) jobs
+  /// Bounds both the result cache and the rank warm-start store.
   std::size_t cache_capacity = 128;
   /// Seed each race's SharedRankSource from the last snapshot persisted
-  /// for (netlist hash, core weighting).
+  /// for (netlist hash, bad index, core weighting).
   bool warm_start_ranks = true;
   /// Applied when a submission has no deadline of its own (<= 0: none).
   double default_deadline_sec = -1.0;
@@ -204,6 +209,7 @@ class JobServer {
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
     std::uint64_t rank_warm_starts = 0;
+    std::size_t rank_snapshots = 0;  // warm-start store size
     std::size_t queue_depth = 0;
     std::size_t running = 0;
   };
@@ -253,20 +259,35 @@ class JobServer {
   bool shutting_down_ = false;
   Stats stats_;
 
-  /// Rank snapshots per (netlist hash, weighting) — the warm-start store.
+  /// Rank snapshots per (netlist hash, bad index, weighting) — the
+  /// warm-start store, an LRU bounded by cache_capacity (guarded by mu_).
+  /// The bad index is part of the key: scores are learned from one
+  /// property's cores and would steer another property's search with
+  /// the wrong cone.
   struct RankKey {
-    std::uint64_t netlist_hash;
-    int weighting;
+    std::uint64_t netlist_hash = 0;
+    std::uint64_t bad_index = 0;
+    int weighting = 0;
     bool operator==(const RankKey&) const = default;
   };
   struct RankKeyHash {
     std::size_t operator()(const RankKey& k) const {
       return static_cast<std::size_t>(
-          k.netlist_hash ^ (0x9e3779b97f4a7c15ull *
-                            static_cast<std::uint64_t>(k.weighting + 1)));
+          k.netlist_hash ^ (0x9e3779b97f4a7c15ull * (k.bad_index + 1)) ^
+          (0xc2b2ae3d27d4eb4full *
+           static_cast<std::uint64_t>(k.weighting + 1)));
     }
   };
-  std::unordered_map<RankKey, bmc::CoreRanking, RankKeyHash> rank_store_;
+  struct RankEntry {
+    RankKey key;
+    bmc::CoreRanking ranking;
+  };
+  /// The snapshot for `key`, marked most recently used (null: none).
+  const bmc::CoreRanking* rank_lookup_locked(const RankKey& key);
+  void rank_store_locked(const RankKey& key, bmc::CoreRanking ranking);
+  std::list<RankEntry> rank_lru_;  // front = most recently used
+  std::unordered_map<RankKey, std::list<RankEntry>::iterator, RankKeyHash>
+      rank_index_;
 
   std::vector<std::thread> executors_;
 };

@@ -8,6 +8,7 @@
 // over variables BVE eliminated at earlier depths.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
 #include "bmc/encoder.hpp"
@@ -161,7 +162,7 @@ TEST(IncrementalPreprocessTest, WitnessRecompletesAcrossDepthDeltas) {
 
   // Simplified consumer: replay the per-depth deltas 0..k.
   sat::Solver solver;
-  std::vector<VarOrigin> origin;
+  OriginMap origin;
   SolverSink sink(solver, origin);
   ClauseTape::Cursor cursor;
   for (int f = 0; f <= k; ++f) tape.replay_simplified_delta(f, cursor, sink);
@@ -192,6 +193,82 @@ TEST(IncrementalPreprocessTest, WitnessRecompletesAcrossDepthDeltas) {
     }
     EXPECT_TRUE(satisfied);
     if (!satisfied) break;  // one counter-example clause is enough
+  }
+}
+
+/// The alias nodes of consumer variable `v` in `origin`, restricted to
+/// aliases recorded before index `bound` (SIZE_MAX: all).
+std::multiset<model::NodeId> alias_nodes(const OriginMap& origin, sat::Var v,
+                                         std::size_t bound = SIZE_MAX) {
+  std::multiset<model::NodeId> nodes;
+  origin.for_each_alias(v, [&](std::size_t i, const VarOrigin& a) {
+    if (i < bound) nodes.insert(a.node);
+  });
+  return nodes;
+}
+
+TEST(IncrementalPreprocessTest, AliasesFollowKeptVariablesThroughDeltas) {
+  // Every variable a delta-simplified consumer holds carries exactly the
+  // aliases its tape variable had by then — those of variables BVE
+  // eliminated are dropped, and re-attached when a later delta
+  // resurrects the variable.  A plain replay into a fresh solver numbers
+  // variables like the tape, so its OriginMap is the tape-space truth.
+  const auto bm = model::with_distractor(model::fifo_safe(4), 32, 1);
+  constexpr int kDepth = 10;
+  PreprocessOptions popt;
+  popt.enabled = true;
+  SharedTape tape(bm.net, 0, {}, popt);
+
+  sat::Solver plain_solver;
+  OriginMap truth;
+  SolverSink plain_sink(plain_solver, truth);
+  ClauseTape::Cursor plain_cursor;
+  tape.replay_to(kDepth, plain_cursor, plain_sink);
+  ASSERT_GT(truth.num_aliases(), 0u);
+
+  sat::Solver solver;
+  OriginMap origin;
+  SolverSink sink(solver, origin);
+  ClauseTape::Cursor cursor;
+  std::size_t resurrected = 0, dropped = 0;
+  std::vector<sat::Var> before;
+  for (int f = 0; f <= kDepth; ++f) {
+    before = cursor.var_map;
+    tape.replay_simplified_delta(f, cursor, sink);
+    const std::size_t bound = tape.mark_at(f).aliases;
+    std::size_t expected_aliases = 0;
+    for (std::size_t t = 0; t < cursor.var_map.size(); ++t) {
+      const auto tv = static_cast<sat::Var>(t);
+      if (t < before.size() && before[t] == sat::kVarUndef &&
+          cursor.var_map[t] != sat::kVarUndef &&
+          !alias_nodes(truth, tv, bound).empty())
+        ++resurrected;
+      if (cursor.var_map[t] == sat::kVarUndef) {
+        if (!alias_nodes(truth, tv, bound).empty()) ++dropped;
+        continue;
+      }
+      const std::multiset<model::NodeId> want = alias_nodes(truth, tv, bound);
+      expected_aliases += want.size();
+      EXPECT_EQ(alias_nodes(origin, cursor.var_map[t]), want)
+          << "depth " << f << ", tape var " << t;
+    }
+    EXPECT_EQ(origin.num_aliases(), expected_aliases) << "depth " << f;
+  }
+  EXPECT_GT(dropped, 0u);
+  EXPECT_GT(resurrected, 0u);
+
+  // The scratch (whole-formula) simplified replay keeps the same rule.
+  sat::Solver scratch_solver;
+  OriginMap scratch;
+  SolverSink scratch_sink(scratch_solver, scratch);
+  ClauseTape::Cursor scratch_cursor;
+  tape.replay_simplified_to(kDepth, scratch_cursor, scratch_sink);
+  for (std::size_t t = 0; t < scratch_cursor.var_map.size(); ++t) {
+    const sat::Var v = scratch_cursor.var_map[t];
+    if (v == sat::kVarUndef) continue;
+    EXPECT_EQ(alias_nodes(scratch, v),
+              alias_nodes(truth, static_cast<sat::Var>(t)))
+        << "tape var " << t;
   }
 }
 

@@ -206,7 +206,7 @@ TEST(PreprocessTapeTest, SimplifiedReplayShrinksAndIsDeterministic) {
   // Two fresh consumers replay identical streams: same var_map, same
   // solver shape — the shard-group "one formula, many solvers" premise.
   sat::Solver s1, s2;
-  std::vector<VarOrigin> o1, o2;
+  OriginMap o1, o2;
   SolverSink sink1(s1, o1), sink2(s2, o2);
   ClauseTape::Cursor c1, c2;
   tape.replay_simplified_to(k, c1, sink1);
@@ -242,7 +242,7 @@ TEST(PreprocessTapeTest, SimplifiedFormulaKeepsVerdicts) {
   SharedTape prep_tape(bm.net, 0, {}, po);
   for (int k = 0; k <= 6; ++k) {
     sat::Solver plain_solver, prep_solver;
-    std::vector<VarOrigin> po1, po2;
+    OriginMap po1, po2;
     SolverSink sink1(plain_solver, po1), sink2(prep_solver, po2);
     ClauseTape::Cursor c1, c2;
     plain_tape.replay_to(k, c1, sink1);

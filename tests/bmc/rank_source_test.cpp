@@ -23,8 +23,8 @@ namespace {
 
 // A small CNF-variable origin map over model nodes 1..n (node 0 is the
 // constant and is skipped by scoring).
-std::vector<VarOrigin> origin_over(model::NodeId num_nodes) {
-  std::vector<VarOrigin> origin;
+OriginMap origin_over(model::NodeId num_nodes) {
+  OriginMap origin;
   for (model::NodeId n = 0; n <= num_nodes; ++n)
     origin.push_back(VarOrigin{n, 0});
   return origin;
@@ -198,8 +198,8 @@ TEST(RankSourceTest, ProjectionsTranslatePerOriginMap) {
   // read the same accumulation through their own maps — the endpoint
   // discipline that makes node-space sharing sound.
   SharedRankSource src(CoreWeighting::Uniform);
-  const std::vector<VarOrigin> a{{3, 0}, {1, 0}, {2, 0}};
-  const std::vector<VarOrigin> b{{2, 1}, {3, 1}};
+  const OriginMap a{{3, 0}, {1, 0}, {2, 0}};
+  const OriginMap b{{2, 1}, {3, 1}};
   src.publish(a, {0, 2}, 0);  // touches nodes 3 and 2 via a's map
   const std::vector<double> ra = src.project(a, nullptr);
   const std::vector<double> rb = src.project(b, nullptr);

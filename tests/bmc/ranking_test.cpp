@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+
+#include "bmc/encoder.hpp"
+#include "bmc/engine.hpp"
+#include "model/benchgen.hpp"
+
 namespace refbmc::bmc {
 namespace {
 
@@ -113,6 +120,114 @@ TEST(RankingTest, UpdateCountAndWeightingAccessors) {
   EXPECT_EQ(ranking.weighting(), CoreWeighting::Uniform);
   ranking.update(fake_instance(), {}, 1);
   EXPECT_EQ(ranking.num_updates(), 1u);
+}
+
+TEST(RankingTest, AliasesJoinCoresAndSumIntoProjections) {
+  // Var 1 owns node 10 and also stands for node 12 (folded onto it);
+  // var 0, the constant, stands for node 13 (folded to false).
+  OriginMap origin{{model::kConstNode, -1}, {10, 0}, {11, 0}};
+  origin.add_alias(1, {12, 1});
+  origin.add_alias(0, {13, 0});
+  CoreRanking ranking(CoreWeighting::Linear);
+  EXPECT_EQ(ranking.update(origin, {0, 1}, /*k=*/2), 3u);  // 10, 12, 13
+  EXPECT_DOUBLE_EQ(ranking.node_score(10), 2.0);
+  EXPECT_DOUBLE_EQ(ranking.node_score(12), 2.0);
+  EXPECT_DOUBLE_EQ(ranking.node_score(13), 2.0);
+  ranking.update(origin, {2}, /*k=*/3);  // node 11
+  const std::vector<double> rank = ranking.project(origin);
+  EXPECT_DOUBLE_EQ(rank[0], 2.0);  // node 13
+  EXPECT_DOUBLE_EQ(rank[1], 4.0);  // nodes 10 + 12
+  EXPECT_DOUBLE_EQ(rank[2], 3.0);  // node 11
+}
+
+// The end-to-end alias discipline on a simplified encoding: every CNF
+// variable's projected rank is the sum of the scores of exactly the cone
+// nodes whose literal lands on it at some frame (owner and aliases).
+TEST(RankingTest, ProjectionSumsScoresOfEveryNodeOnAVariable) {
+  const model::Benchmark bm =
+      model::with_distractor(model::counter_reach(8, 24, true), 24, 101);
+  EngineConfig cfg;
+  cfg.policy = OrderingPolicy::Static;
+  cfg.max_depth = 12;
+  BmcEngine engine(bm.net, cfg);
+  engine.run();
+  const CoreRanking ranking = engine.ranking();
+  ASSERT_FALSE(ranking.scores().empty());
+
+  constexpr int kDepth = 12;
+  BmcInstance inst;
+  InstanceSink sink(inst);
+  FrameEncoder enc(bm.net, sink);
+  enc.encode_to(kDepth);
+  ASSERT_GT(inst.origin.num_aliases(), 0u);
+
+  std::map<sat::Var, std::set<model::NodeId>> nodes_on;
+  for (const model::NodeId n : enc.cone()) {
+    if (n == model::kConstNode) continue;
+    for (int f = 0; f <= kDepth; ++f)
+      nodes_on[enc.lit_of(model::Signal::make(n), f).var()].insert(n);
+  }
+  const std::vector<double> rank = ranking.project(inst.origin);
+  ASSERT_EQ(rank.size(), inst.origin.size());
+  std::size_t multi_node_vars = 0;
+  for (std::size_t v = 0; v < rank.size(); ++v) {
+    double expect = 0.0;
+    const auto it = nodes_on.find(static_cast<sat::Var>(v));
+    if (it != nodes_on.end()) {
+      for (const model::NodeId n : it->second)
+        expect += ranking.node_score(n);
+      if (it->second.size() > 1) ++multi_node_vars;
+    }
+    EXPECT_DOUBLE_EQ(rank[v], expect) << "var " << v;
+  }
+  EXPECT_GT(multi_node_vars, 0u);
+}
+
+std::set<model::NodeId> scored_nodes(const model::Benchmark& bm,
+                                     bool simplify, int depth) {
+  EngineConfig cfg;
+  cfg.policy = OrderingPolicy::Static;
+  cfg.max_depth = depth;
+  cfg.simplify = simplify;
+  BmcEngine engine(bm.net, cfg);
+  engine.run();
+  const CoreRanking ranking = engine.ranking();
+  std::set<model::NodeId> nodes;
+  for (const auto& [node, score] : ranking.scores())
+    if (score > 0.0) nodes.insert(node);
+  return nodes;
+}
+
+TEST(RankingTest, SimplifiedCoresScoreEveryNodeUnsimplifiedOnesDo) {
+  // A counter whose initial state folds the whole unrolling to constants:
+  // the cores only ever contain the auxiliary false variable, so without
+  // its aliases simplification would score no node at all.
+  const model::Benchmark bm = model::counter_safe(8, 200, 250);
+  const std::set<model::NodeId> off = scored_nodes(bm, false, 10);
+  const std::set<model::NodeId> on = scored_nodes(bm, true, 10);
+  ASSERT_FALSE(off.empty());
+  for (const model::NodeId n : off)
+    EXPECT_TRUE(on.count(n) != 0) << "node " << n << " lost its score";
+}
+
+TEST(RankingTest, StaticOrderingHalvesBaselineConflictsOnDistractedCounter) {
+  // cnt8e_t24+d24 under the Table 1 configuration: the refined ordering
+  // must find the counter-example with far less search than VSIDS.
+  const model::Benchmark bm =
+      model::with_distractor(model::counter_reach(8, 24, true), 24, 101);
+  const auto conflicts = [&](OrderingPolicy policy) {
+    EngineConfig cfg;
+    cfg.policy = policy;
+    cfg.max_depth = bm.suggested_bound;
+    BmcEngine engine(bm.net, cfg);
+    const BmcResult r = engine.run();
+    EXPECT_EQ(r.status, BmcResult::Status::CounterexampleFound);
+    return r.total_conflicts();
+  };
+  const std::uint64_t baseline = conflicts(OrderingPolicy::Baseline);
+  const std::uint64_t refined = conflicts(OrderingPolicy::Static);
+  EXPECT_LE(2 * refined, baseline)
+      << "static " << refined << " vs baseline " << baseline;
 }
 
 TEST(RankingTest, WeightingNames) {

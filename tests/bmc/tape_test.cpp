@@ -79,7 +79,7 @@ TEST(ClauseTapeTest, CursorTranslatesIntoShiftedSpaces) {
   SharedTape tape(bm.net, 0, {});
 
   sat::Solver solver;
-  std::vector<VarOrigin> origin;
+  OriginMap origin;
   SolverSink sink(solver, origin);
   // Interleave: one foreign variable before anything else.
   origin.push_back(VarOrigin{model::kConstNode, -7});
@@ -136,7 +136,7 @@ TEST(SharedTapeTest, ConcurrentConsumersEncodeOnce) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       sat::Solver solver;
-      std::vector<VarOrigin> origin;
+      OriginMap origin;
       SolverSink sink(solver, origin);
       ClauseTape::Cursor cursor;
       // Walk the depths one by one like an incremental session would,

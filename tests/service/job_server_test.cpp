@@ -314,6 +314,57 @@ TEST(JobServerTest, RankWarmStartFiresOnResubmittedModel) {
   EXPECT_GE(server.stats().rank_warm_starts, 1u);
 }
 
+/// Submits a dynamic-policy check of property `bad` of `net` to `depth`
+/// and waits for it to finish.
+void solve_and_wait(JobServer& server, const model::Netlist& net,
+                    std::size_t bad, int depth) {
+  api::CheckRequest r;
+  r.net = net;
+  r.bad_index = bad;
+  r.options.policy("dynamic").max_depth(depth);
+  const SubmitOutcome o = server.submit(std::move(r));
+  ASSERT_TRUE(o.accepted);
+  const auto st = server.wait(o.id, 30.0);
+  ASSERT_TRUE(st.has_value());
+  ASSERT_EQ(st->state, JobState::Done);
+}
+
+TEST(JobServerTest, RankWarmStartIsKeyedByProperty) {
+  // Property 1 of a netlist must not be seeded with the ranking property
+  // 0's cores produced.  (Property 1 repeats property 0's signal, so the
+  // only thing telling the two apart is the bad index in the key.)
+  model::Netlist net = model::fifo_safe(4).net;
+  net.add_bad(net.bad_properties()[0].signal, "copy");
+  JobServer server;
+  solve_and_wait(server, net, 0, 6);
+  EXPECT_EQ(server.stats().rank_snapshots, 1u);
+  solve_and_wait(server, net, 1, 6);
+  EXPECT_EQ(server.stats().rank_warm_starts, 0u);
+  EXPECT_EQ(server.stats().rank_snapshots, 2u);
+  solve_and_wait(server, net, 0, 9);  // deeper: a cache miss, warm start
+  EXPECT_EQ(server.stats().rank_warm_starts, 1u);
+}
+
+TEST(JobServerTest, RankStoreIsAnLruBoundedByCacheCapacity) {
+  ServerConfig cfg;
+  cfg.cache_capacity = 2;
+  JobServer server(cfg);
+  const model::Netlist a = model::fifo_safe(4).net;
+  const model::Netlist b = model::fifo_safe(3).net;
+  const model::Netlist c = model::arbiter_safe(4).net;
+  solve_and_wait(server, a, 0, 6);
+  solve_and_wait(server, b, 0, 6);
+  solve_and_wait(server, c, 0, 6);  // evicts a, the least recently used
+  EXPECT_EQ(server.stats().rank_snapshots, 2u);
+  solve_and_wait(server, a, 0, 8);
+  EXPECT_EQ(server.stats().rank_warm_starts, 0u);
+  EXPECT_EQ(server.stats().rank_snapshots, 2u);  // a back in, b evicted
+  solve_and_wait(server, c, 0, 8);
+  EXPECT_EQ(server.stats().rank_warm_starts, 1u);
+  solve_and_wait(server, b, 0, 8);
+  EXPECT_EQ(server.stats().rank_warm_starts, 1u);
+}
+
 TEST(JobServerTest, ConcurrentClientsAllComplete) {
   ServerConfig cfg;
   cfg.workers = 2;
