@@ -266,7 +266,7 @@ def main():
         print("_no BENCH_service.json in the current run_")
         print()
 
-    # ---- memory: codec compression + arena pauses + rank demotion -------
+    # ---- memory: codec, arena pauses, rank demotion, depth scaling ------
     prev_m = load(prev_dir, "BENCH_memory.json") or {}
     cur_m = load(cur_dir, "BENCH_memory.json") or {}
     if cur_m:
@@ -296,6 +296,19 @@ def main():
                         .get("forced") or {}).get("wall_sec"), None),
             ("peak RSS, kB (bench_memory process)",
              lambda d: (d.get("process") or {}).get("vm_hwm_kb"), None),
+            # Incremental depth scaling (bench_memory gates the growth
+            # ratios itself; older artifacts lack the row: "n/a").
+            ("incremental tracker peak at depth 120, bytes",
+             lambda d: ((d.get("incremental_depth") or {})
+                        .get("depth_120") or {}).get("peak_mem_bytes"),
+             False),
+            ("incremental tracker peak growth, depth 60 -> 120",
+             lambda d: (d.get("incremental_depth") or {}).get("peak_growth"),
+             None),
+            ("incremental VmHWM growth, depth 60 -> 120",
+             lambda d: (d.get("incremental_depth") or {})
+             .get("vm_hwm_growth"),
+             None),
         ]
         print("### Memory")
         print()

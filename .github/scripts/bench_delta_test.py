@@ -211,6 +211,40 @@ class BenchDeltaTest(unittest.TestCase):
         self.assertIn("| tape codec compression (raw / encoded) | 3.000 "
                       "| 3.330 | +11.0% |", out)
 
+    def test_memory_depth_row_degrades_on_old_artifact(self):
+        # The incremental_depth row arrived after BENCH_memory.json: a
+        # previous artifact without it shows "n/a" beside the current
+        # figures, and both present diff numerically.
+        old_memory = {"codec_totals": {"compression": 3.3},
+                      "process": {"vm_hwm_kb": 9600}}
+        cur_memory = dict(old_memory)
+        cur_memory["incremental_depth"] = {
+            "model": "cntm12_m3000+d48",
+            "depth_60": {"peak_mem_bytes": 8000000, "vm_hwm_kb": 19000},
+            "depth_120": {"peak_mem_bytes": 16000000, "vm_hwm_kb": 34000},
+            "peak_growth": 2.0,
+            "vm_hwm_growth": 1.79,
+        }
+        with tempfile.TemporaryDirectory() as prev, \
+                tempfile.TemporaryDirectory() as cur:
+            write_json(prev, "BENCH_memory.json", old_memory)
+            write_json(cur, "BENCH_memory.json", cur_memory)
+            rc, out = run_delta(prev, cur)
+        self.assertEqual(rc, 0)
+        self.assertIn("| incremental tracker peak at depth 120, bytes | n/a "
+                      "| 16,000,000 | n/a |", out)
+        self.assertIn("| incremental VmHWM growth, depth 60 -> 120 | n/a "
+                      "| 1.790 | n/a |", out)
+
+        with tempfile.TemporaryDirectory() as prev, \
+                tempfile.TemporaryDirectory() as cur:
+            write_json(prev, "BENCH_memory.json", cur_memory)
+            write_json(cur, "BENCH_memory.json", cur_memory)
+            rc, out = run_delta(prev, cur)
+        self.assertEqual(rc, 0)
+        self.assertIn("| incremental tracker peak growth, depth 60 -> 120 "
+                      "| 2.000 | 2.000 | +0.0% |", out)
+
 
 if __name__ == "__main__":
     unittest.main()

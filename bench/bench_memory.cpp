@@ -1,7 +1,10 @@
 // Formula-state footprint record (BENCH_memory.json) — the space half of
 // the bench trajectory, companion to bench_micro's throughput record.
 //
-// Four sections:
+// Five sections:
+//   * incremental_depth — api::check, incremental with delta
+//                 preprocessing, on cntm12_m3000+d48 to depths 60 and 120:
+//                 the race tracker's peak and VmHWM after each;
 //   * rows      — per quick-suite model: the tape's raw cost, its codec
 //                 cost, bytes/clause both ways, and what cold storage
 //                 leaves resident after freezing the whole prefix;
@@ -13,13 +16,18 @@
 //                 demoted lineup pays nothing for unused rank machinery;
 //   * process   — peak RSS (VmHWM) and the race tracker's own peak.
 //
-// The codec's compression claim is enforced, not just reported: the run
-// fails (exit 1) unless total encoded bytes are at most 1/3 of raw.
+// Two claims are enforced, not just reported: the run fails (exit 1)
+// unless total encoded bytes are at most 1/3 of raw, and unless doubling
+// the incremental depth from 60 to 120 at most triples the tracker peak
+// and VmHWM (the delta path's state grows with the unrolling, not with
+// its square).  VmHWM backs the tracker: state the tracker is not
+// charged for shows up there.
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "api/refbmc.hpp"
 #include "bmc/encoder.hpp"
 #include "bmc/tape.hpp"
 #include "bmc/tape_codec.hpp"
@@ -64,10 +72,57 @@ void write_histogram(JsonWriter& w, const char* name) {
   w.end_object();
 }
 
+struct DepthRun {
+  int depth = 0;
+  std::uint64_t peak_mem_bytes = 0;
+  std::uint64_t vm_hwm_kb = 0;
+  double wall_sec = 0.0;
+};
+
+/// One single-entrant incremental check (delta preprocessing is the
+/// default) to `depth`; VmHWM is read right after, so the first run's
+/// figure is its own and later ones include every earlier run.
+DepthRun incremental_check(const model::Benchmark& bm, int depth) {
+  api::CheckRequest req;
+  req.net = bm.net;
+  req.name = bm.name;
+  req.options.policy("dynamic").incremental(true).max_depth(depth);
+  Timer t;
+  const api::CheckResult res = api::check(req);
+  return DepthRun{depth, res.peak_mem_bytes, vm_hwm_kb(), t.elapsed_sec()};
+}
+
 int run() {
   JsonWriter w;
   w.begin_object();
   w.kv("bench", "memory");
+
+  // ---- incremental depth scaling ------------------------------------------
+  // Runs first, so the depth-60 VmHWM is not masked by later sections.
+  const model::Benchmark deep =
+      model::with_distractor(model::counter_safe(12, 3000, 4000), 48, 111);
+  const DepthRun half = incremental_check(deep, 60);
+  const DepthRun full = incremental_check(deep, 120);
+  const auto growth = [](std::uint64_t from, std::uint64_t to) {
+    return from > 0 ? static_cast<double>(to) / static_cast<double>(from)
+                    : 0.0;
+  };
+  const double peak_growth = growth(half.peak_mem_bytes, full.peak_mem_bytes);
+  const double hwm_growth = growth(half.vm_hwm_kb, full.vm_hwm_kb);
+  w.key("incremental_depth");
+  w.begin_object();
+  w.kv("model", deep.name);
+  for (const DepthRun& r : {half, full}) {
+    w.key("depth_" + std::to_string(r.depth));
+    w.begin_object();
+    w.kv("peak_mem_bytes", r.peak_mem_bytes);
+    w.kv("vm_hwm_kb", r.vm_hwm_kb);
+    w.kv("wall_sec", r.wall_sec);
+    w.end_object();
+  }
+  w.kv("peak_growth", peak_growth);
+  w.kv("vm_hwm_growth", hwm_growth);
+  w.end_object();
 
   // ---- tape codec compression, per model --------------------------------
   w.key("rows");
@@ -195,15 +250,39 @@ int run() {
       "bench_memory: wrote BENCH_memory.json (%llu clauses, %.2fx codec)\n",
       static_cast<unsigned long long>(tot_clauses), ratio);
 
+  std::printf(
+      "bench_memory: incremental %s depth 60 -> 120: tracker peak %.2fx, "
+      "VmHWM %.2fx\n",
+      deep.name.c_str(), peak_growth, hwm_growth);
+
+  int status = 0;
   // The acceptance bar: encoded at most a third of raw, in aggregate.
   if (tot_encoded * 3 > tot_raw) {
     std::fprintf(stderr,
                  "bench_memory: FAIL — encoded %llu > raw %llu / 3\n",
                  static_cast<unsigned long long>(tot_encoded),
                  static_cast<unsigned long long>(tot_raw));
-    return 1;
+    status = 1;
   }
-  return 0;
+  // Doubling the depth may at most triple the incremental footprint
+  // (VmHWM is 0 without procfs, which skips its half of the check).
+  if (full.peak_mem_bytes > 3 * half.peak_mem_bytes) {
+    std::fprintf(stderr,
+                 "bench_memory: FAIL — incremental tracker peak %llu B at "
+                 "depth 120 > 3 x %llu B at depth 60\n",
+                 static_cast<unsigned long long>(full.peak_mem_bytes),
+                 static_cast<unsigned long long>(half.peak_mem_bytes));
+    status = 1;
+  }
+  if (full.vm_hwm_kb > 3 * half.vm_hwm_kb) {
+    std::fprintf(stderr,
+                 "bench_memory: FAIL — VmHWM %llu kB after depth 120 > 3 x "
+                 "%llu kB after depth 60\n",
+                 static_cast<unsigned long long>(full.vm_hwm_kb),
+                 static_cast<unsigned long long>(half.vm_hwm_kb));
+    status = 1;
+  }
+  return status;
 }
 
 }  // namespace

@@ -15,38 +15,56 @@ using sat::lbool;
 using sat::Lit;
 using sat::Var;
 
-void VarRemapper::grow(int num_vars) {
-  REFBMC_EXPECTS(num_vars >= this->num_vars());
-  kept_.resize(static_cast<std::size_t>(num_vars), 1);
+std::size_t clause_list_bytes(const std::vector<std::vector<Lit>>& cs) {
+  std::size_t n = cs.capacity() * sizeof(std::vector<Lit>);
+  for (const auto& c : cs) n += c.capacity() * sizeof(Lit);
+  return n;
 }
 
-VarRemapper::Witness VarRemapper::resurrect(Var v) {
-  REFBMC_EXPECTS(kept_[static_cast<std::size_t>(v)] == 0);
-  kept_[static_cast<std::size_t>(v)] = 1;
-  // Newest-first scan: resurrections chase references out of fresh
-  // deltas, which overwhelmingly hit recent eliminations.
-  for (auto it = witnesses_.rbegin(); it != witnesses_.rend(); ++it) {
-    if (it->lit.var() != v) continue;
-    Witness w = std::move(*it);
-    witnesses_.erase(std::next(it).base());
-    return w;
-  }
-  REFBMC_ASSERT_MSG(false, "eliminated variable has no witness");
-  return Witness{};
+void VarRemapper::grow(int num_vars) {
+  REFBMC_EXPECTS(num_vars >= this->num_vars());
+  slot_.resize(static_cast<std::size_t>(num_vars), kNoSlot);
+}
+
+VarRemapper::Witness VarRemapper::resurrect(Var v, int depth) {
+  const std::uint32_t s = slot_[static_cast<std::size_t>(v)];
+  REFBMC_EXPECTS_MSG(s != kNoSlot, "eliminated variable has no witness");
+  Witness& w = witnesses_[s];
+  REFBMC_EXPECTS(w.resurrected_at == kNever && w.eliminated_at <= depth);
+  w.resurrected_at = depth;
+  --live_;
+  return w;
 }
 
 void VarRemapper::eliminate(Lit lit,
                             std::vector<std::vector<Lit>> clauses,
-                            std::vector<std::vector<Lit>> removed) {
+                            std::vector<std::vector<Lit>> removed,
+                            int depth) {
   const auto v = static_cast<std::size_t>(lit.var());
-  REFBMC_ASSERT(kept_[v] != 0);
-  kept_[v] = 0;
-  witnesses_.push_back(Witness{lit, std::move(clauses), std::move(removed)});
+  REFBMC_ASSERT_MSG(slot_[v] == kNoSlot, "a variable is eliminated once");
+  REFBMC_ASSERT(witnesses_.empty() ||
+                witnesses_.back().eliminated_at <= depth);
+  slot_[v] = static_cast<std::uint32_t>(witnesses_.size());
+  clause_bytes_ += clause_list_bytes(clauses) + clause_list_bytes(removed);
+  witnesses_.push_back(
+      Witness{lit, std::move(clauses), std::move(removed), depth, kNever});
+  ++live_;
+}
+
+VarRemapper VarRemapper::as_of(int k, int num_vars) const {
+  VarRemapper out(num_vars);
+  for (const Witness& w : witnesses_) {
+    if (!w.live_at(k)) continue;
+    REFBMC_ASSERT(w.lit.var() < num_vars);
+    out.eliminate(w.lit, w.clauses, w.removed, w.eliminated_at);
+  }
+  return out;
 }
 
 void VarRemapper::complete_model(std::vector<lbool>& values) const {
-  REFBMC_EXPECTS(values.size() >= kept_.size());
+  REFBMC_EXPECTS(values.size() >= slot_.size());
   for (auto it = witnesses_.rbegin(); it != witnesses_.rend(); ++it) {
+    if (it->resurrected_at != kNever) continue;  // kept again
     const auto v = static_cast<std::size_t>(it->lit.var());
     // Default: falsify the eliminated literal — this satisfies every
     // removed clause of the opposite polarity (BVE's N side; a pure

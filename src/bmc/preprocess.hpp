@@ -77,16 +77,33 @@ struct PreprocessStats {
   std::uint64_t preprocess_us = 0;
 };
 
+/// Heap held by a clause list: its vector slots plus every clause's
+/// literal capacity.
+std::size_t clause_list_bytes(const std::vector<std::vector<sat::Lit>>& cs);
+
 /// Tape-var → solver-space bookkeeping for eliminated variables.
 ///
 /// Kept variables keep their tape numbering (the session's var_map does
 /// the tape→solver translation as before); eliminated variables carry a
-/// witness stack entry so models extend back.  Witnesses are completed
-/// in REVERSE elimination order: each entry's clauses may mention
-/// variables eliminated later (already completed) or kept variables,
-/// never variables eliminated earlier (their clauses were gone by then).
+/// witness entry so models extend back.  Witnesses are completed in
+/// REVERSE elimination order: each entry's clauses may mention variables
+/// eliminated later (already completed) or kept variables, never
+/// variables eliminated earlier (their clauses were gone by then).
+///
+/// The witness list is a depth-tagged HISTORY.  The incremental delta
+/// pass keeps one remapper across all depths: each entry records the
+/// depth its variable was eliminated at and, once a later delta
+/// resurrects the variable, the depth of that resurrection.  Entries are
+/// never removed, so every witness is stored exactly once however many
+/// depths follow, and the state "as of depth k" — every entry eliminated
+/// at or before k and not resurrected at or before k, in elimination
+/// order — can be rebuilt on demand (as_of).  Single-shot passes tag
+/// everything depth 0 and never resurrect.
 class VarRemapper {
  public:
+  /// resurrected_at of an entry whose variable is still eliminated.
+  static constexpr int kNever = INT32_MAX;
+
   struct Witness {
     /// The eliminated literal; every stored clause contains it.
     sat::Lit lit;
@@ -101,48 +118,88 @@ class VarRemapper {
     /// variable eliminated at an earlier depth (global strashing makes
     /// later frames point at earlier gate variables).
     std::vector<std::vector<sat::Lit>> removed;
+    /// Depth of the elimination, and of the resurrection (kNever while
+    /// the variable stays eliminated).
+    int eliminated_at = 0;
+    int resurrected_at = kNever;
+
+    /// Whether the variable is eliminated in the state as of depth k.
+    bool live_at(int k) const {
+      return eliminated_at <= k && resurrected_at > k;
+    }
   };
 
   VarRemapper() = default;
   explicit VarRemapper(int num_vars)
-      : kept_(static_cast<std::size_t>(num_vars), 1) {}
+      : slot_(static_cast<std::size_t>(num_vars), kNoSlot) {}
 
-  int num_vars() const { return static_cast<int>(kept_.size()); }
+  int num_vars() const { return static_cast<int>(slot_.size()); }
   bool is_kept(sat::Var v) const {
-    return kept_[static_cast<std::size_t>(v)] != 0;
+    const std::uint32_t s = slot_[static_cast<std::size_t>(v)];
+    return s == kNoSlot || witnesses_[s].resurrected_at != kNever;
   }
-  std::size_t num_eliminated() const { return witnesses_.size(); }
+  /// Variables eliminated now (resurrected entries excluded).
+  std::size_t num_eliminated() const { return live_; }
+  /// The whole history in elimination order, resurrected entries
+  /// included (a remapper that never resurrected holds only live ones).
   const std::vector<Witness>& witnesses() const { return witnesses_; }
 
   /// Appends newly encoded tape variables (kept by default).  Used by
   /// the incremental delta pass, whose variable universe grows with
-  /// each depth while the witness stack persists.
+  /// each depth while the witness history persists.
   void grow(int num_vars);
 
-  /// Re-admits an eliminated variable: marks it kept again and returns
-  /// (removes) its witness entry.  The caller must re-add the entry's
-  /// `clauses` + `removed` kit to the formula — afterwards the variable
-  /// behaves as if it had never been eliminated, and `complete_model`
-  /// reads its value from the solver model like any kept variable.
-  Witness resurrect(sat::Var v);
+  /// Re-admits an eliminated variable at `depth`: marks its entry
+  /// resurrected (found through the per-variable index) and returns a
+  /// copy of it.  The caller must re-add the copy's `clauses` +
+  /// `removed` kit to the formula — afterwards the variable behaves as
+  /// if it had never been eliminated, and `complete_model` reads its
+  /// value from the solver model like any kept variable.  The entry
+  /// stays in the history so states before `depth` can be rebuilt.
+  Witness resurrect(sat::Var v, int depth);
 
-  /// Marks lit.var() eliminated, recording its witness clauses (each
-  /// must contain `lit`) plus the opposite-polarity clauses removed
-  /// with it (resurrection kit; not consulted by complete_model).
+  /// Marks lit.var() eliminated at `depth`, recording its witness
+  /// clauses (each must contain `lit`) plus the opposite-polarity
+  /// clauses removed with it (resurrection kit; not consulted by
+  /// complete_model).  A variable is eliminated at most once — the
+  /// incremental pass freezes every earlier-depth variable, so a
+  /// resurrected one never becomes a candidate again — and depths are
+  /// non-decreasing along the history.
   void eliminate(sat::Lit lit, std::vector<std::vector<sat::Lit>> clauses,
-                 std::vector<std::vector<sat::Lit>> removed = {});
+                 std::vector<std::vector<sat::Lit>> removed = {},
+                 int depth = 0);
 
   /// Extends a model of the simplified formula (tape-var indexed; kept
   /// variables assigned, eliminated ones l_Undef) to a model of the
   /// original formula.  Default: falsify the witness literal (which
   /// satisfies the removed opposite-polarity clauses); flip only when
   /// some witness clause is otherwise unsatisfied (the flip satisfies
-  /// all of them — they all contain the literal).
+  /// all of them — they all contain the literal).  Resurrected entries
+  /// are skipped: their variables are kept.
   void complete_model(std::vector<sat::lbool>& values) const;
 
+  /// The state as of depth k over the first `num_vars` variables: the
+  /// entries live at k (see Witness::live_at), in elimination order,
+  /// with no resurrections recorded.  Every live entry's variable must
+  /// lie below `num_vars`.
+  VarRemapper as_of(int k, int num_vars) const;
+
+  /// Heap footprint: the per-variable index, the history's entries and
+  /// every stored clause.  Kept up to date by eliminate(), O(1).
+  std::size_t memory_bytes() const {
+    return slot_.capacity() * sizeof(std::uint32_t) +
+           witnesses_.capacity() * sizeof(Witness) + clause_bytes_;
+  }
+
  private:
-  std::vector<char> kept_;  // per tape var: 1 = survives to the solver
-  std::vector<Witness> witnesses_;  // elimination order
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
+  /// Per tape var: index of its entry in witnesses_, or kNoSlot if it
+  /// was never eliminated.
+  std::vector<std::uint32_t> slot_;
+  std::vector<Witness> witnesses_;  // elimination order, depth-tagged
+  std::size_t live_ = 0;            // entries not resurrected
+  std::size_t clause_bytes_ = 0;    // heap held by the entries' clauses
 };
 
 struct SimplifyResult {

@@ -10,7 +10,7 @@
 namespace refbmc::bmc {
 
 void ClauseTape::scan(
-    std::size_t op_begin, std::size_t op_end,
+    std::size_t op_begin, std::size_t lit_begin, std::size_t op_end,
     const std::function<void(std::size_t)>& on_vars,
     const std::function<void(std::span<const sat::Lit>)>& on_clause) const {
   REFBMC_EXPECTS(op_begin <= op_end && op_end <= base_ops_ + ops_.size());
@@ -44,15 +44,13 @@ void ClauseTape::scan(
   }
   if (at >= op_end) return;
 
-  // Raw tail.  Literal offsets are not stored per op, so recover the
-  // start offset by summing clause sizes up to `at` — a linear walk over
-  // plain ints, negligible next to the clause copying that follows.
+  // Raw tail.  A range that began in the frozen prefix enters it at its
+  // first op (literal 0); otherwise the caller's offset places op_begin.
   REFBMC_ASSERT(at >= base_ops_);
   std::size_t local = at - base_ops_;
   const std::size_t local_end = op_end - base_ops_;
-  std::size_t lit = 0;
-  for (std::size_t i = 0; i < local; ++i)
-    if (ops_[i] != kVarOp) lit += static_cast<std::size_t>(ops_[i]);
+  REFBMC_ASSERT(at != op_begin || lit_begin >= base_lits_);
+  std::size_t lit = at == op_begin ? lit_begin - base_lits_ : 0;
   std::size_t var_run = 0;
   while (local < local_end) {
     const std::int32_t op = ops_[local++];
@@ -110,7 +108,7 @@ void ClauseTape::freeze_prefix(const Mark& upto) {
 void ClauseTape::replay(Cursor& cursor, const Mark& upto,
                         ClauseSink& out) const {
   std::vector<sat::Lit> clause;
-  scan(cursor.op, upto.ops,
+  scan(cursor.op, cursor.lit, upto.ops,
        [&](std::size_t n) {
          for (std::size_t i = 0; i < n; ++i)
            cursor.var_map.push_back(
@@ -155,7 +153,7 @@ void ClauseTape::export_clauses_range(
     std::vector<std::vector<sat::Lit>>& out) const {
   out.clear();
   out.reserve(upto.clauses - from.clauses);
-  scan(from.ops, upto.ops, {}, [&](std::span<const sat::Lit> lits) {
+  scan(from.ops, from.lits, upto.ops, {}, [&](std::span<const sat::Lit> lits) {
     out.emplace_back(lits.begin(), lits.end());
   });
 }
@@ -179,23 +177,18 @@ SharedTape::SharedTape(const model::Netlist& net, std::size_t bad_index,
   est_lits_frame_ = 3 * clauses_frame;
 }
 
+std::size_t SharedTape::footprint_locked() const {
+  // The per-depth cache vectors and the cumulative delta state are
+  // sized here; each ready entry's payload is already in cache_bytes_.
+  return tape_.memory_bytes() + cache_bytes_ +
+         simplified_.capacity() * sizeof(SimplifiedDepth) +
+         inc_deltas_.capacity() * sizeof(IncDelta) +
+         inc_remap_.memory_bytes() +
+         inc_assigned_.capacity() * sizeof(sat::lbool);
+}
+
 void SharedTape::recharge_locked() {
-  const auto clause_list_bytes =
-      [](const std::vector<std::vector<sat::Lit>>& cs) {
-        std::size_t n = cs.capacity() * sizeof(std::vector<sat::Lit>);
-        for (const auto& c : cs) n += c.capacity() * sizeof(sat::Lit);
-        return n;
-      };
-  std::size_t caches = 0;
-  for (const SimplifiedDepth& s : simplified_)
-    caches += clause_list_bytes(s.result.clauses) + s.cold.capacity();
-  for (const IncDelta& d : inc_deltas_) {
-    caches += clause_list_bytes(d.clauses) + d.cold.capacity();
-    caches += d.resurrected.capacity() * sizeof(sat::Var) +
-              d.kept_new.capacity();
-  }
-  cache_bytes_ = caches;
-  const std::size_t now = tape_.memory_bytes() + cache_bytes_;
+  const std::size_t now = footprint_locked();
   if (mem_ != nullptr) {
     if (now >= last_charged_)
       mem_->add(now - last_charged_);
@@ -249,10 +242,20 @@ void SharedTape::replay_to(int k, ClauseTape::Cursor& cursor,
 // never appear here: they are solver-local variables created OUTSIDE
 // the tape, so the pass cannot touch them by construction — the guard
 // clause's tape-side anchor is the property literal, which is frozen.
-void SharedTape::build_frozen_locked(int k, std::size_t num_vars,
-                                     std::vector<char>& frozen) const {
+//
+// The set covers the variables of depth k's mark.  Those of depths
+// before `first` are frozen wholesale — the incremental delta pass
+// (first = k) keeps cross-depth identity that way — so the walk costs
+// frames first..k only; a scratch pass (first = 0) walks them all.
+std::vector<char> SharedTape::frozen_set_locked(int first, int k) const {
+  const std::size_t lo =
+      first > 0 ? depth_marks_[static_cast<std::size_t>(first - 1)].vars : 0;
+  const std::size_t hi = depth_marks_[static_cast<std::size_t>(k)].vars;
+  std::vector<char> frozen(hi, 0);
+  std::fill(frozen.begin(), frozen.begin() + static_cast<std::ptrdiff_t>(lo),
+            1);
   const auto& origin = tape_.origin();
-  for (std::size_t v = 0; v < num_vars; ++v) {
+  for (std::size_t v = lo; v < hi; ++v) {
     const VarOrigin& o = origin[v];
     if (o.frame < 0) {
       frozen[v] = 1;
@@ -262,10 +265,12 @@ void SharedTape::build_frozen_locked(int k, std::size_t num_vars,
     if (kind == model::NodeKind::Input || kind == model::NodeKind::Latch)
       frozen[v] = 1;
   }
-  for (int j = 0; j <= k; ++j) {
+  // Frames before `first` placed their property/bad literals below lo.
+  for (int j = first; j <= k; ++j) {
     frozen[static_cast<std::size_t>(encoder_.property(j).var())] = 1;
     frozen[static_cast<std::size_t>(encoder_.bad(j).var())] = 1;
   }
+  return frozen;
 }
 
 void SharedTape::ensure_simplified_locked(int k) {
@@ -280,8 +285,7 @@ void SharedTape::ensure_simplified_locked(int k) {
   std::vector<std::vector<sat::Lit>> clauses;
   tape_.export_clauses(mark, clauses);
 
-  std::vector<char> frozen(mark.vars, 0);
-  build_frozen_locked(k, mark.vars, frozen);
+  const std::vector<char> frozen = frozen_set_locked(0, k);
 
   const TapePreprocessor pp(preprocess_);
   SimplifiedDepth& s = simplified_[idx];
@@ -297,6 +301,9 @@ void SharedTape::ensure_simplified_locked(int k) {
     s.is_cold = true;
   }
   s.ready = true;
+  cache_bytes_ += clause_list_bytes(s.result.clauses) + s.cold.capacity() +
+                  s.result.remap.memory_bytes() +
+                  s.result.assigned.capacity() * sizeof(sat::lbool);
   span.set_value(static_cast<std::int64_t>(s.clause_count));
   recharge_locked();
 }
@@ -334,7 +341,7 @@ void SharedTape::ensure_inc_delta_locked(int f) {
     for (const sat::Lit l : c) {
       const sat::Var v = l.var();
       if (inc_remap_.is_kept(v)) continue;
-      VarRemapper::Witness w = inc_remap_.resurrect(v);
+      VarRemapper::Witness w = inc_remap_.resurrect(v, f);
       d.resurrected.push_back(v);
       for (auto& kc : w.clauses) kit.push_back(std::move(kc));
       for (auto& kc : w.removed) kit.push_back(std::move(kc));
@@ -352,9 +359,7 @@ void SharedTape::ensure_inc_delta_locked(int f) {
   // variable of earlier depths — cross-depth identity is what makes
   // the persistent solver's clauses stay meaningful, so only this
   // delta's fresh gate variables are elimination candidates.
-  std::vector<char> frozen(mark.vars, 0);
-  build_frozen_locked(f, mark.vars, frozen);
-  for (std::size_t v = 0; v < prev.vars; ++v) frozen[v] = 1;
+  const std::vector<char> frozen = frozen_set_locked(f, f);
 
   const TapePreprocessor pp(preprocess_);
   SimplifyResult result =
@@ -364,9 +369,14 @@ void SharedTape::ensure_inc_delta_locked(int f) {
   // (contradiction — degenerate input) the raw delta is cached and no
   // new eliminations or facts are recorded; the resurrections above
   // stand either way (the raw delta references those variables too).
+  // Only this frame's variables can be eliminated (the rest are
+  // frozen), so each variable enters the history at most once and a
+  // per-variable index finds it again on resurrection.
   if (!result.fell_back) {
-    for (const auto& w : result.remap.witnesses())
-      inc_remap_.eliminate(w.lit, w.clauses, w.removed);
+    for (const auto& w : result.remap.witnesses()) {
+      REFBMC_ASSERT(static_cast<std::size_t>(w.lit.var()) >= prev.vars);
+      inc_remap_.eliminate(w.lit, w.clauses, w.removed, f);
+    }
   }
   inc_assigned_ = std::move(result.assigned);
   d.kept_new.assign(mark.vars - prev.vars, 1);
@@ -376,7 +386,6 @@ void SharedTape::ensure_inc_delta_locked(int f) {
   }
   d.clauses = std::move(result.clauses);
   d.stats = result.stats;
-  d.remap_after = inc_remap_;
   const std::size_t clause_count = d.clauses.size();
   if (cold_) {
     d.cold = TapeCodec::encode_clauses(d.clauses);
@@ -385,6 +394,9 @@ void SharedTape::ensure_inc_delta_locked(int f) {
     d.is_cold = true;
   }
   d.ready = true;
+  cache_bytes_ += clause_list_bytes(d.clauses) + d.cold.capacity() +
+                  d.resurrected.capacity() * sizeof(sat::Var) +
+                  d.kept_new.capacity();
   span.set_value(static_cast<std::int64_t>(clause_count));
   recharge_locked();
 }
@@ -497,7 +509,8 @@ PreprocessStats SharedTape::incremental_preprocess_stats_at(int k) {
 VarRemapper SharedTape::incremental_remapper_at(int k) {
   const std::lock_guard<std::mutex> lock(mu_);
   ensure_inc_delta_locked(k);
-  return inc_deltas_[static_cast<std::size_t>(k)].remap_after;
+  return inc_remap_.as_of(
+      k, static_cast<int>(depth_marks_[static_cast<std::size_t>(k)].vars));
 }
 
 sat::Lit SharedTape::property(int k) {
@@ -559,7 +572,7 @@ void SharedTape::set_mem_tracker(MemTracker* tracker) {
 
 std::size_t SharedTape::memory_bytes() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return tape_.memory_bytes() + cache_bytes_;
+  return footprint_locked();
 }
 
 std::size_t SharedTape::tape_raw_bytes() const {

@@ -30,6 +30,7 @@
 // streams are bit-identical with the mode off or on.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -122,9 +123,11 @@ class ClauseTape final : public ClauseSink {
 
   /// Walks ops [op_begin, op_end): on_vars(n) per run of add_var ops,
   /// on_clause(lits) per clause in tape literal space (span valid until
-  /// the next callback).  Transparent over frozen segments — they are
-  /// decoded on the fly.  Either callback may be empty.
-  void scan(std::size_t op_begin, std::size_t op_end,
+  /// the next callback).  `lit_begin` is the literal offset of op_begin
+  /// (a Mark's `lits`, a Cursor's `lit`), so a walk costs the range it
+  /// reads, not the tape before it.  Transparent over frozen segments —
+  /// they are decoded on the fly.  Either callback may be empty.
+  void scan(std::size_t op_begin, std::size_t lit_begin, std::size_t op_end,
             const std::function<void(std::size_t)>& on_vars,
             const std::function<void(std::span<const sat::Lit>)>& on_clause)
       const;
@@ -139,9 +142,11 @@ class ClauseTape final : public ClauseSink {
 
   /// Capacity hints for the recording vectors, ADDED to what is already
   /// stored (netlist-derived, see SharedTape's per-frame estimate).
+  /// Grows only when the hint does not fit, and then geometrically, so
+  /// per-frame hints copy the raw tail O(log frames) times in total.
   void reserve_additional(std::size_t ops, std::size_t lits) {
-    ops_.reserve(ops_.size() + ops);
-    lits_.reserve(lits_.size() + lits);
+    reserve_geometric(ops_, ops);
+    reserve_geometric(lits_, lits);
   }
 
   std::size_t frozen_segments() const { return frozen_.size(); }
@@ -169,6 +174,12 @@ class ClauseTape final : public ClauseSink {
 
  private:
   static constexpr std::int32_t kVarOp = -1;
+
+  template <typename T>
+  static void reserve_geometric(std::vector<T>& v, std::size_t extra) {
+    const std::size_t want = v.size() + extra;
+    if (want > v.capacity()) v.reserve(std::max(want, 2 * v.capacity()));
+  }
 
   /// One frozen (codec-encoded) prefix range; segments are contiguous
   /// from op 0 and cover base_ops_ ops / base_lits_ lits in total.
@@ -225,13 +236,13 @@ class SharedTape {
   /// replayed — into an incremental consumer whose cursor is parked at
   /// depth f-1's mark (or fresh, for f = 0).  Unlike
   /// replay_simplified_to, the simplification state is cumulative: root
-  /// facts from earlier deltas seed the pass, the VarRemapper witness
-  /// stack is shared across depths, and a delta that references a
-  /// variable eliminated at an earlier depth transparently RESURRECTS
-  /// it (the variable is re-created in the sink and its removed-clause
-  /// kit is re-emitted before the delta, restoring every deleted
-  /// constraint).  Deltas are computed (and cached) once per depth,
-  /// race-wide, so every incremental consumer sees the identical
+  /// facts from earlier deltas seed the pass, one depth-tagged
+  /// VarRemapper witness history serves every depth, and a delta that
+  /// references a variable eliminated at an earlier depth transparently
+  /// RESURRECTS it (the variable is re-created in the sink and its
+  /// removed-clause kit is re-emitted before the delta, restoring every
+  /// deleted constraint).  Deltas are computed (and cached) once per
+  /// depth, race-wide, so every incremental consumer sees the identical
   /// stream.  Thread-safe.
   void replay_simplified_delta(int f, ClauseTape::Cursor& cursor,
                                ClauseSink& out);
@@ -241,11 +252,13 @@ class SharedTape {
   /// Preprocessing counters for depth k's incremental DELTA (runs the
   /// cached delta passes up to k first).
   PreprocessStats incremental_preprocess_stats_at(int k);
-  /// The cumulative incremental remapper as of depth k's delta (witness
-  /// stack for model completion across depths): exactly the elimination
-  /// state a consumer that replayed deltas 0..k is solving under, even
-  /// when a faster consumer has already advanced the cumulative state
-  /// past k.  Returned by value (snapshot).
+  /// The incremental remapper as of depth k's delta (witnesses for
+  /// model completion across depths): exactly the elimination state a
+  /// consumer that replayed deltas 0..k is solving under, even when a
+  /// faster consumer has already advanced the shared history past k —
+  /// variables eliminated at depths <= k and not resurrected by then,
+  /// in elimination order.  Rebuilt from the depth-tagged history on
+  /// each call (VarRemapper::as_of); returned by value.
   VarRemapper incremental_remapper_at(int k);
   /// Clause count of the simplified formula at depth k — what a
   /// preprocessed scratch consumer's solver must end up holding (the
@@ -284,8 +297,8 @@ class SharedTape {
   /// Tape + cache footprint deltas are charged here (may be null).
   void set_mem_tracker(MemTracker* tracker);
 
-  /// Heap footprint of the tape and its per-depth caches (the value
-  /// charged to the MemTracker).
+  /// Heap footprint of the tape, its per-depth caches and the
+  /// incremental witness history (the value charged to the MemTracker).
   std::size_t memory_bytes() const;
   /// Raw-form cost of the event stream (the codec baseline) and the
   /// bytes frozen segments actually hold — the bench_memory ratio.
@@ -296,8 +309,8 @@ class SharedTape {
   void ensure_locked(int k);
   void ensure_simplified_locked(int k);
   void ensure_inc_delta_locked(int f);
-  void build_frozen_locked(int k, std::size_t num_vars,
-                           std::vector<char>& frozen) const;
+  std::vector<char> frozen_set_locked(int first, int k) const;
+  std::size_t footprint_locked() const;
   void recharge_locked();
 
   /// One depth's cached simplification (clauses + remapper + stats).
@@ -314,10 +327,10 @@ class SharedTape {
   /// for it, which of its new variables survived, and the simplified
   /// delta clauses (kit clauses included), all in tape space.
   /// Consumers replay deltas strictly in depth order, so caching makes
-  /// the stream identical race-wide — and each delta snapshots the
-  /// remapper as of its own depth, so a consumer completing a model at
-  /// depth k is immune to faster consumers advancing the cumulative
-  /// state past k.
+  /// the stream identical race-wide.  The elimination state lives in
+  /// `inc_remap_`'s depth-tagged history alone; incremental_remapper_at
+  /// rebuilds any depth's state from it, so a consumer completing a
+  /// model at depth k is immune to faster consumers advancing past k.
   struct IncDelta {
     bool ready = false;
     std::vector<sat::Var> resurrected;       // sink creation order
@@ -326,7 +339,6 @@ class SharedTape {
     std::vector<std::uint8_t> cold;          // encoded `clauses` (cold mode)
     bool is_cold = false;
     PreprocessStats stats;
-    VarRemapper remap_after;                 // cumulative, as of this depth
   };
 
   mutable std::mutex mu_;
@@ -339,8 +351,8 @@ class SharedTape {
   std::vector<ClauseTape::Mark> depth_marks_;  // per encoded depth
   std::vector<EncodeStats> depth_stats_;       // cumulative per depth
   std::vector<SimplifiedDepth> simplified_;    // per depth, lazy
-  // Cumulative incremental preprocessing state (delta mode): witness
-  // stack shared across depths + root facts carried forward.
+  // Cumulative incremental preprocessing state (delta mode): the one
+  // depth-tagged witness history + root facts carried forward.
   std::vector<IncDelta> inc_deltas_;           // per depth, lazy
   VarRemapper inc_remap_{0};
   std::vector<sat::lbool> inc_assigned_;       // per tape var
@@ -350,7 +362,9 @@ class SharedTape {
   bool cold_ = false;
   std::size_t est_ops_frame_ = 0;
   std::size_t est_lits_frame_ = 0;
-  std::size_t cache_bytes_ = 0;   // SimplifiedDepth/IncDelta payloads
+  // SimplifiedDepth/IncDelta payloads, added as each becomes ready
+  // (immutable afterwards), so recharging costs O(1) per depth.
+  std::size_t cache_bytes_ = 0;
   std::size_t last_charged_ = 0;  // last value pushed to mem_
   MemTracker* mem_ = nullptr;
 };

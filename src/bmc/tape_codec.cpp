@@ -85,7 +85,7 @@ TapeCodec::EncodedRange TapeCodec::encode(const ClauseTape& tape,
                                           const ClauseTape::Mark& upto) {
   EncodedRange enc{from, upto, {}};
   Writer w(enc.bytes);
-  tape.scan(from.ops, upto.ops,
+  tape.scan(from.ops, from.lits, upto.ops,
             [&](std::size_t n) { w.add_vars(n); },
             [&](std::span<const sat::Lit> lits) { w.add_clause(lits); });
   w.finish();

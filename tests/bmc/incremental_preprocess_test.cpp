@@ -18,6 +18,7 @@
 #include "bmc/trace.hpp"
 #include "model/benchgen.hpp"
 #include "sat/solver.hpp"
+#include "util/mem_tracker.hpp"
 
 namespace refbmc::bmc {
 namespace {
@@ -129,6 +130,67 @@ TEST(IncrementalPreprocessTest, DeltaPreprocessStatsReported) {
   EXPECT_GT(eliminated, 0u);
 }
 
+/// Numbers variables densely from 0 and keeps every clause: replayed
+/// plainly from a fresh cursor, its clauses are in tape space verbatim.
+struct CollectSink final : public ClauseSink {
+  std::vector<std::vector<sat::Lit>> clauses;
+  sat::Var next = 0;
+  sat::Var add_var(const VarOrigin&) override { return next++; }
+  void add_clause(std::span<const sat::Lit> lits) override {
+    clauses.emplace_back(lits.begin(), lits.end());
+  }
+};
+
+/// Solves the delta-simplified formula of depth k (a fresh consumer
+/// replaying deltas 0..k; under depth k's property literal when
+/// `assume_property`), lifts the model to tape space and completes it
+/// through `remap`; true when the result satisfies every clause of the
+/// original tape up to depth k.
+bool completed_model_satisfies_tape(SharedTape& tape, int k,
+                                    const VarRemapper& remap,
+                                    bool assume_property) {
+  // Identity consumer: the unsimplified clauses, in tape space.
+  ClauseTape::Cursor id_cursor;
+  CollectSink original;
+  tape.replay_to(k, id_cursor, original);
+
+  sat::Solver solver;
+  OriginMap origin;
+  SolverSink sink(solver, origin);
+  ClauseTape::Cursor cursor;
+  for (int f = 0; f <= k; ++f) tape.replay_simplified_delta(f, cursor, sink);
+  std::vector<sat::Lit> assumptions;
+  if (assume_property)
+    assumptions.push_back(cursor.translate(tape.property(k)));
+  if (solver.solve(assumptions) != sat::Result::Sat) return false;
+
+  std::vector<sat::lbool> values(static_cast<std::size_t>(remap.num_vars()),
+                                 sat::l_Undef);
+  for (std::size_t t = 0; t < cursor.var_map.size(); ++t) {
+    if (cursor.var_map[t] == sat::kVarUndef) continue;
+    values[t] = solver.model_value(cursor.var_map[t]);
+  }
+  remap.complete_model(values);
+  for (const auto& clause : original.clauses) {
+    bool satisfied = false;
+    for (const sat::Lit l : clause) {
+      if ((values[static_cast<std::size_t>(l.var())] ^ l.negated()) ==
+          sat::l_True) {
+        satisfied = true;
+        break;
+      }
+    }
+    if (!satisfied) return false;
+  }
+  return true;
+}
+
+bool lists_witness_of(const VarRemapper& remap, sat::Var v) {
+  for (const auto& w : remap.witnesses())
+    if (w.lit.var() == v) return true;
+  return false;
+}
+
 TEST(IncrementalPreprocessTest, WitnessRecompletesAcrossDepthDeltas) {
   // A counter-example found at depth k on the delta-simplified formula
   // must extend — through the cumulative witness stack — to a model of
@@ -136,15 +198,6 @@ TEST(IncrementalPreprocessTest, WitnessRecompletesAcrossDepthDeltas) {
   // depths < k.  Drives SharedTape directly: one identity consumer
   // collects the unsimplified clauses, a solver consumer replays the
   // simplified deltas.
-  struct CollectSink final : public ClauseSink {
-    std::vector<std::vector<sat::Lit>> clauses;
-    sat::Var next = 0;
-    sat::Var add_var(const VarOrigin&) override { return next++; }
-    void add_clause(std::span<const sat::Lit> lits) override {
-      clauses.emplace_back(lits.begin(), lits.end());
-    }
-  };
-
   const auto bm = model::counter_reach(4, 6, true);
   ASSERT_TRUE(bm.expect_fail);
   const int k = bm.expect_depth;
@@ -153,47 +206,115 @@ TEST(IncrementalPreprocessTest, WitnessRecompletesAcrossDepthDeltas) {
   PreprocessOptions popt;
   popt.enabled = true;
   SharedTape tape(bm.net, 0, {}, popt);
-
-  // Identity consumer: tape variables are created densely from 0, so the
-  // collected clauses are in tape variable space verbatim.
-  ClauseTape::Cursor id_cursor;
-  CollectSink original;
-  tape.replay_to(k, id_cursor, original);
-
-  // Simplified consumer: replay the per-depth deltas 0..k.
-  sat::Solver solver;
-  OriginMap origin;
-  SolverSink sink(solver, origin);
-  ClauseTape::Cursor cursor;
-  for (int f = 0; f <= k; ++f) tape.replay_simplified_delta(f, cursor, sink);
-
   const VarRemapper remap = tape.incremental_remapper_at(k);
   ASSERT_GT(remap.num_eliminated(), 0u);  // the test must not be vacuous
-  ASSERT_EQ(solver.solve({cursor.translate(tape.property(k))}),
-            sat::Result::Sat);
+  EXPECT_TRUE(completed_model_satisfies_tape(tape, k, remap,
+                                             /*assume_property=*/true));
+}
 
-  // Lift the solver model back to tape space (eliminated slots undef),
-  // then let the witness stack fill in the eliminated variables.
-  std::vector<sat::lbool> values(
-      static_cast<std::size_t>(remap.num_vars()), sat::l_Undef);
-  for (std::size_t t = 0; t < cursor.var_map.size(); ++t) {
-    if (cursor.var_map[t] == sat::kVarUndef) continue;
-    values[t] = solver.model_value(cursor.var_map[t]);
-  }
-  remap.complete_model(values);
+TEST(IncrementalPreprocessTest, RemapperAtDepthIsExactAfterLaterResurrection) {
+  // A fast consumer runs ahead to kDepth, resurrecting variables that
+  // earlier deltas eliminated.  incremental_remapper_at(k) must still be
+  // exactly the state a tape that never went past k holds — same kept
+  // set, same witnesses in the same order — for every k; a witness
+  // resurrected after k stays listed at k and vanishes from the
+  // resurrection depth on; and a slow consumer's depth-k model completes
+  // through it to a model of the original tape.
+  const auto bm = model::with_distractor(model::fifo_safe(4), 32, 1);
+  constexpr int kDepth = 10;
+  PreprocessOptions popt;
+  popt.enabled = true;
+  SharedTape tape(bm.net, 0, {}, popt);
 
-  for (const auto& clause : original.clauses) {
-    bool satisfied = false;
-    for (const sat::Lit l : clause) {
-      const sat::lbool v = values[static_cast<std::size_t>(l.var())];
-      if ((v ^ l.negated()) == sat::l_True) {
-        satisfied = true;
-        break;
+  CollectSink fast_sink;
+  ClauseTape::Cursor fast;
+  sat::Var resurrected = sat::kVarUndef;
+  int resurrected_at = -1;
+  for (int f = 0; f <= kDepth; ++f) {
+    const std::vector<sat::Var> before = fast.var_map;
+    tape.replay_simplified_delta(f, fast, fast_sink);
+    for (std::size_t t = 0; t < before.size() && resurrected_at < 0; ++t) {
+      if (before[t] == sat::kVarUndef && fast.var_map[t] != sat::kVarUndef) {
+        resurrected = static_cast<sat::Var>(t);
+        resurrected_at = f;
       }
     }
-    EXPECT_TRUE(satisfied);
-    if (!satisfied) break;  // one counter-example clause is enough
   }
+  ASSERT_GT(resurrected_at, 0) << "no resurrection: the test is vacuous";
+
+  for (int k = 0; k <= kDepth; ++k) {
+    SCOPED_TRACE(testing::Message() << "k=" << k);
+    SharedTape slow(bm.net, 0, {}, popt);
+    const VarRemapper want = slow.incremental_remapper_at(k);
+    const VarRemapper got = tape.incremental_remapper_at(k);
+    ASSERT_EQ(got.num_vars(), want.num_vars());
+    ASSERT_EQ(got.num_eliminated(), want.num_eliminated());
+    for (sat::Var v = 0; v < got.num_vars(); ++v)
+      ASSERT_EQ(got.is_kept(v), want.is_kept(v)) << "var " << v;
+    ASSERT_EQ(got.witnesses().size(), want.witnesses().size());
+    for (std::size_t i = 0; i < got.witnesses().size(); ++i) {
+      const auto& a = got.witnesses()[i];
+      const auto& b = want.witnesses()[i];
+      EXPECT_EQ(a.lit, b.lit) << "entry " << i;
+      EXPECT_EQ(a.clauses, b.clauses) << "entry " << i;
+      EXPECT_EQ(a.removed, b.removed) << "entry " << i;
+      EXPECT_EQ(a.eliminated_at, b.eliminated_at) << "entry " << i;
+      EXPECT_EQ(a.resurrected_at, VarRemapper::kNever) << "entry " << i;
+    }
+    const bool listed = k < resurrected_at && !got.is_kept(resurrected);
+    EXPECT_EQ(lists_witness_of(got, resurrected), listed);
+  }
+
+  // The witness was live just before its resurrection, and the slow
+  // consumer parked there completes through the rebuilt state.
+  const int k = resurrected_at - 1;
+  const VarRemapper at_k = tape.incremental_remapper_at(k);
+  ASSERT_TRUE(lists_witness_of(at_k, resurrected));
+  EXPECT_TRUE(completed_model_satisfies_tape(tape, k, at_k,
+                                             /*assume_property=*/false));
+  const VarRemapper at_r = tape.incremental_remapper_at(resurrected_at);
+  EXPECT_TRUE(at_r.is_kept(resurrected));
+  EXPECT_FALSE(lists_witness_of(at_r, resurrected));
+}
+
+/// A lower bound on the heap `remap`'s witnesses occupy: each entry,
+/// and each of its clauses (kit halves included) with its literals.
+std::size_t witness_bytes(const VarRemapper& remap) {
+  std::size_t n = remap.witnesses().size() * sizeof(VarRemapper::Witness);
+  for (const auto& w : remap.witnesses()) {
+    for (const auto* list : {&w.clauses, &w.removed}) {
+      for (const auto& c : *list)
+        n += sizeof(c) + c.size() * sizeof(sat::Lit);
+    }
+  }
+  return n;
+}
+
+TEST(IncrementalPreprocessTest, ChargedBytesGrowLinearlyWithDepth) {
+  // The delta path keeps one witness history, not a copy per depth, so
+  // the bytes the shared tape charges double (not quadruple) when the
+  // unrolling doubles — and the charge covers that history, so the
+  // tracker cannot read linear while the heap grows otherwise.
+  // cntm12_m3000+d48 is deep-incremental's heaviest row.
+  const auto bm =
+      model::with_distractor(model::counter_safe(12, 3000, 4000), 48, 111);
+  ASSERT_EQ(bm.name, "cntm12_m3000+d48");
+  PreprocessOptions popt;
+  popt.enabled = true;
+  SharedTape tape(bm.net, 0, {}, popt);
+  MemTracker mem;
+  tape.set_mem_tracker(&mem);
+
+  tape.incremental_preprocess_stats_at(60);
+  const std::uint64_t at60 = mem.current();
+  tape.incremental_preprocess_stats_at(120);
+  const std::uint64_t at120 = mem.current();
+  EXPECT_EQ(at120, tape.memory_bytes());
+  EXPECT_GT(at60, 0u);
+  EXPECT_GE(at120, witness_bytes(tape.incremental_remapper_at(120)));
+  EXPECT_LE(at120, 3 * at60) << "depth 60: " << at60
+                             << " B, depth 120: " << at120 << " B";
+  tape.set_mem_tracker(nullptr);
 }
 
 /// The alias nodes of consumer variable `v` in `origin`, restricted to

@@ -150,7 +150,7 @@ TEST(TapeCodecTest, FuzzRandomInterleavingsRoundTripExactly) {
     {
       // Recover the full Mark at mid_ops by replaying up to it.
       std::size_t lit = 0, vars = 0, clauses = 0;
-      tape.scan(0, mid_ops,
+      tape.scan(0, 0, mid_ops,
                 [&](std::size_t n) { vars += n; },
                 [&](std::span<const sat::Lit> lits) {
                   lit += lits.size();

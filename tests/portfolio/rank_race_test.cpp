@@ -192,7 +192,9 @@ TEST(RankRaceTest, LoneConsumerLineupDemotesToPrivateRanking) {
   std::uint64_t static_published = 0;
   for (const auto& d : race.entrants[0].result.per_depth)
     static_published += d.ranks_published;
-  if (race.winner == 0) EXPECT_GT(static_published, 0u);
+  if (race.winner == 0) {
+    EXPECT_GT(static_published, 0u);
+  }
 }
 
 TEST(RankRaceTest, DistinctFormulasDoNotShareRanks) {
